@@ -176,6 +176,46 @@ impl Instance {
         }
     }
 
+    /// Reveal one more slot: append `λ_T` to a valid instance, validating
+    /// only the new slot — the load is finite, non-negative and within
+    /// the slot's fleet capacity, and every cost profile covers the
+    /// longer horizon. `O(d)` per call, which is what lets a long-lived
+    /// controller keep one growing prefix `I_t` instead of rebuilding it
+    /// every slot. On error the instance is unchanged.
+    ///
+    /// A time-varying fleet profile (Sec. 4.3) has no row for the new
+    /// slot, so such instances reject every push. The builder's sampled
+    /// cost-shape check is not repeated for the new slot.
+    pub fn push_load(&mut self, load: f64) -> Result<(), InstanceError> {
+        let t = self.horizon();
+        if let Some(m) = &self.counts_over_time {
+            return Err(InstanceError::CountsShapeMismatch {
+                expected: (t + 1, self.num_types()),
+                found: (m.len(), self.num_types()),
+            });
+        }
+        if !load.is_finite() || load < 0.0 {
+            return Err(InstanceError::BadLoad { t, value: load });
+        }
+        for (j, ty) in self.types.iter().enumerate() {
+            if let Some(len) = ty.cost.horizon() {
+                if len <= t {
+                    return Err(InstanceError::CostHorizonMismatch {
+                        j,
+                        spec_len: len,
+                        horizon: t + 1,
+                    });
+                }
+            }
+        }
+        let capacity = self.max_capacity_at(t);
+        if load > capacity {
+            return Err(InstanceError::InfeasibleLoad { t, load, capacity });
+        }
+        self.loads.push(load);
+        Ok(())
+    }
+
     /// Validate the model assumptions. Builders call this automatically;
     /// it is public so hand-mutated clones can be re-checked.
     ///

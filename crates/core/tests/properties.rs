@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rsz_core::util::{approx_eq, approx_ge, approx_le, stable_sum};
-use rsz_core::{Config, CostModel, Instance, ServerType};
+use rsz_core::{Config, CostModel, CostSpec, Instance, ServerType};
 
 fn cost_model_strategy() -> impl Strategy<Value = CostModel> {
     prop_oneof![
@@ -121,6 +121,53 @@ proptest! {
         prop_assert_eq!(inst.horizon(), loads.len());
         for (t, &l) in loads.iter().enumerate() {
             prop_assert!(approx_ge(inst.load(t), l) && approx_le(inst.load(t), l));
+        }
+    }
+
+    /// `push_load` agrees with `build()` on every prefix: a push
+    /// succeeds exactly when building the extended load sequence from
+    /// scratch succeeds, and the grown instance carries the same loads
+    /// bit for bit. Loads include negatives, NaN and over-capacity
+    /// values; price profiles are shorter or longer than the sequence.
+    #[test]
+    fn push_load_agrees_with_build(
+        raw in prop::collection::vec(-1.0..8.0_f64, 1..16),
+        nan_at in 0usize..24,
+        prices in prop::collection::vec(0.5..3.0_f64, 1..14),
+        counts in prop::collection::vec(1u32..4, 1..3),
+    ) {
+        let mut loads = raw;
+        if nan_at < loads.len() {
+            loads[nan_at] = f64::NAN;
+        }
+        let types: Vec<ServerType> = counts
+            .iter()
+            .enumerate()
+            .map(|(j, &m)| {
+                let model = CostModel::linear(0.5 + j as f64, 1.0);
+                if j == 0 {
+                    ServerType::with_spec("p", m, 2.0, 1.0, CostSpec::scaled(model, prices.clone()))
+                } else {
+                    ServerType::new("u", m, 3.0, 2.0, model)
+                }
+            })
+            .collect();
+        let build = |ls: &[f64]| {
+            Instance::builder().server_types(types.iter().cloned()).loads(ls.to_vec()).build()
+        };
+        let mut accepted = vec![loads[0]];
+        let Ok(mut inst) = build(&accepted) else { return Ok(()) };
+        for &l in &loads[1..] {
+            let mut candidate = accepted.clone();
+            candidate.push(l);
+            let pushed = inst.push_load(l);
+            prop_assert_eq!(pushed.is_ok(), build(&candidate).is_ok(), "load {}", l);
+            if pushed.is_ok() {
+                accepted = candidate;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(inst.loads()), bits(&accepted));
+            prop_assert_eq!(inst.horizon(), accepted.len());
         }
     }
 }

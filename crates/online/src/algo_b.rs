@@ -43,8 +43,6 @@ pub struct BCore {
     /// Scratch copy of the latest prefix target (borrow separation from
     /// the prefix solver's internal buffer).
     target: Vec<u32>,
-    /// Power-up events as (step_index, type, count), for analysis.
-    power_ups: Vec<(usize, usize, u32)>,
     steps: usize,
 }
 
@@ -58,7 +56,6 @@ impl BCore {
             x: vec![0; d],
             batches: vec![Vec::new(); d],
             target: Vec::with_capacity(d),
-            power_ups: Vec::new(),
             steps: 0,
         }
     }
@@ -75,12 +72,6 @@ impl BCore {
     #[must_use]
     pub fn prefix(&self) -> &PrefixDp {
         &self.prefix
-    }
-
-    /// Power-up events seen so far (`(step, type, count)`).
-    #[must_use]
-    pub fn power_ups(&self) -> &[(usize, usize, u32)] {
-        &self.power_ups
     }
 
     /// Share the prefix solver's priced-slot pool (see
@@ -160,7 +151,8 @@ impl BCore {
 
     /// Serialize the resumable core: prefix solver, active counts, the
     /// live batches with their accumulated idle costs (exact `f64` bit
-    /// patterns), the power-up log, and the (sub-)slot counter.
+    /// patterns), and the (sub-)slot counter — `O(|grid| + batches)`,
+    /// independent of how many slots have been decided.
     pub fn save_state(&self, enc: &mut Encoder) {
         self.prefix.save_state(enc);
         enc.put_usize(self.steps);
@@ -172,12 +164,6 @@ impl BCore {
                 enc.put_f64(b.acc);
                 enc.put_u32(b.count);
             }
-        }
-        enc.put_usize(self.power_ups.len());
-        for &(step, j, count) in &self.power_ups {
-            enc.put_usize(step);
-            enc.put_usize(j);
-            enc.put_u32(count);
         }
     }
 
@@ -214,20 +200,8 @@ impl BCore {
             }
             batches.push(per_type);
         }
-        let n = dec.take_usize()?;
-        let mut power_ups = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let step = dec.take_usize()?;
-            let j = dec.take_usize()?;
-            let count = dec.take_u32()?;
-            if j >= d || step > steps {
-                return Err(SnapshotError::Corrupt("power-up event out of range"));
-            }
-            power_ups.push((step, j, count));
-        }
         self.x = x;
         self.batches = batches;
-        self.power_ups = power_ups;
         self.steps = steps;
         Ok(())
     }
@@ -240,7 +214,6 @@ impl BCore {
                 let up = want - self.x[j];
                 if up > 0 {
                     self.batches[j].push(Batch { acc: 0.0, count: up });
-                    self.power_ups.push((self.steps, j, up));
                     self.x[j] = want;
                 }
             }
@@ -264,7 +237,7 @@ impl<O: GtOracle + Sync> AlgorithmB<O> {
         Self { oracle, core: BCore::new(instance, options) }
     }
 
-    /// Access the shared engine (power-up log etc.).
+    /// Access the shared engine (active counts, prefix solver).
     #[must_use]
     pub fn core(&self) -> &BCore {
         &self.core
@@ -295,8 +268,10 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for AlgorithmB<O> {
 }
 
 impl<O: GtOracle + Sync> Checkpoint for AlgorithmB<O> {
+    /// `/2`: the state layout without the power-up log. Snapshots of
+    /// the old layout carry the bare tag and are refused, not misread.
     fn algo_tag(&self) -> &'static str {
-        "algo-b"
+        "algo-b/2"
     }
 
     fn save_state(&self, enc: &mut Encoder) {

@@ -200,8 +200,9 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for AlgorithmC<O> {
 }
 
 impl<O: GtOracle + Sync> Checkpoint for AlgorithmC<O> {
+    /// `/2`: the shared B/C core's layout without the power-up log.
     fn algo_tag(&self) -> &'static str {
-        "algo-c"
+        "algo-c/2"
     }
 
     fn save_state(&self, enc: &mut Encoder) {

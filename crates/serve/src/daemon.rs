@@ -20,33 +20,48 @@
 //! 3. **the step boundary** — the controller runs under
 //!    `catch_unwind`; a panic quarantines that tenant and the daemon
 //!    answers the next request as if nothing happened.
-//! 4. **recovery** — on restart (or per-tenant revive) the snapshot
-//!    restores the controller and the WAL suffix replays through the
-//!    normal step path, bit-identical to the uninterrupted run.
+//! 4. **recovery** — on restart (or per-tenant revive) the history log
+//!    supplies the accepted loads and served decisions, the snapshot
+//!    core restores the controller, and the WAL suffix replays through
+//!    the normal step path, bit-identical to the uninterrupted run.
+//!
+//! Every layer of the tick path costs `O(1)` amortized in the tenant's
+//! history: the prefix instance grows by one slot per tick, the state
+//! fingerprint is a running hash, and a snapshot writes the ticks since
+//! the previous one plus a core whose size does not depend on depth.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use rsz_core::{Config, Instance, Schedule};
+use rsz_core::{Config, Instance, ServerType};
 use rsz_offline::{payload_range, shared_pool, Decoder, Encoder, SharedSlotPool, SnapshotError};
-use rsz_online::{restore_run, save_run, DegradeStats, GracefulDegrader, LatencyProfile};
+use rsz_online::{restore_run, Checkpoint, DegradeStats, GracefulDegrader, LatencyProfile};
 
+use crate::history;
 use crate::json::{self, Json};
 use crate::protocol::{self, decision_line, error_line, parse_request, wire, ErrorCode, Request};
-use crate::replication::{from_hex, state_fingerprint, to_hex, ApplyReport, Role};
+use crate::replication::{from_hex, to_hex, ApplyReport, FingerprintStream, Role};
 use crate::spec::{build_controller, TenantSpec};
-use crate::tenant::{Fingerprint, QuarantineReason, TenantCounters, TenantDegrader, TenantState};
+use crate::tenant::{
+    instance_over, Fingerprint, QuarantineReason, TenantCounters, TenantDegrader, TenantState,
+};
 use crate::wal::{self, WalRecord, WalScan, WalTail, WalWriter};
 
-/// Snapshot envelope layout version. Version 2 added the bit-exact
-/// accepted-load prefix, which is what makes WAL compaction safe: a
-/// tenant whose early segments were deleted recovers its loads from
-/// the snapshot and only the suffix from the surviving log.
-const SNAP_FORMAT: u8 = 2;
+/// Snapshot envelope layout version. Version 3 carries only the
+/// resumable core — `(name, spec, k, algo tag, controller state)` —
+/// whose size does not depend on `k`; the loads and decisions it covers
+/// live in the history log ([`crate::history`]), which is what makes
+/// WAL compaction safe: a tenant whose early segments were deleted
+/// recovers its loads from the history and only the suffix from the
+/// surviving log.
+const SNAP_FORMAT: u8 = 3;
+/// The previous layout (the whole load prefix plus a `save_run`
+/// envelope), still read once as the upgrade path.
+const SNAP_FORMAT_V2: u8 = 2;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -152,10 +167,62 @@ pub struct DaemonCounters {
     pub failovers: AtomicU64,
 }
 
+/// Daemon-private per-tenant state: what keeps the tick path `O(1)` in
+/// the tenant's history. Holds no heap buffer and no file before the
+/// tenant's first tick.
+struct Live {
+    /// The growing prefix instance `I_t`, extended with
+    /// [`Instance::push_load`] per accepted tick (`None` before the
+    /// first) — `TenantState::prefix_instance` is its reference rebuild.
+    instance: Option<Instance>,
+    /// Running canonical-state fingerprint over the decided ticks.
+    fp: FingerprintStream,
+    /// Ticks the history log holds: the next delta record starts here.
+    hist_k: usize,
+    /// Sealed WAL segments not yet compacted, by ascending `through`.
+    segments: Vec<u64>,
+}
+
+impl Live {
+    fn new(spec: &TenantSpec, full: bool) -> Self {
+        Self {
+            instance: None,
+            fp: FingerprintStream::new(spec, full),
+            hist_k: 0,
+            segments: Vec::new(),
+        }
+    }
+
+    /// Reveal one accepted load to the prefix instance.
+    fn push_load(&mut self, types: &[ServerType], load: f64) -> Result<(), String> {
+        match self.instance.as_mut() {
+            Some(instance) => {
+                instance.push_load(load).map_err(|e| format!("prefix instance invalid: {e}"))
+            }
+            None => {
+                self.instance = Some(instance_over(types, &[load])?);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// One tenant under its lock: the public state plus the daemon's own.
+struct Tenant {
+    st: TenantState,
+    live: Live,
+}
+
 /// One tenant's concurrency gate plus its state.
 pub struct TenantSlot {
     waiting: AtomicUsize,
-    state: Mutex<TenantState>,
+    state: Mutex<Tenant>,
+}
+
+impl TenantSlot {
+    fn new(st: TenantState, live: Live) -> Arc<Self> {
+        Arc::new(Self { waiting: AtomicUsize::new(0), state: Mutex::new(Tenant { st, live }) })
+    }
 }
 
 /// Decrements the waiting counter even when the handler bails early.
@@ -295,6 +362,37 @@ impl Daemon {
         }
     }
 
+    /// Whether this tenant's fingerprints fold committed decisions in:
+    /// only when its degradation ladder is off, because with a deadline
+    /// armed the ladder may descend on wall-clock overruns and committed
+    /// decisions are not replica-comparable.
+    fn full_fingerprints(&self, spec: &TenantSpec) -> bool {
+        spec.effective_deadline(self.options.deadline).is_none()
+    }
+
+    /// A tenant's state with nothing accepted yet.
+    fn empty_state(
+        spec: TenantSpec,
+        types: Vec<ServerType>,
+        wal: Option<WalWriter>,
+    ) -> TenantState {
+        TenantState {
+            spec,
+            types,
+            loads: Vec::new(),
+            decisions: Vec::new(),
+            controller: None,
+            wal,
+            fresh_since_snapshot: 0,
+            quarantine: None,
+            counters: TenantCounters::default(),
+            fingerprints: Vec::new(),
+            last_sealed_through: 0,
+            last_snapshot_k: 0,
+            fp_checked: 0,
+        }
+    }
+
     /// Register (or idempotently re-attach) a tenant. Shared between
     /// the protocol path and replication apply (a replica registers
     /// tenants from the primary's shipped `Register` frames). Returns
@@ -314,14 +412,14 @@ impl Daemon {
         if let Some(slot) = slot {
             // Idempotent re-attach: same spec resumes; a different spec
             // for a live name is a caller bug.
-            let st = lock_clean(&slot.state);
-            if st.spec != spec {
+            let tenant = lock_clean(&slot.state);
+            if tenant.st.spec != spec {
                 return Err((
                     ErrorCode::Input,
                     "tenant already registered with a different spec".into(),
                 ));
             }
-            return Ok((st.loads.len() as u64, st.quarantine.is_some()));
+            return Ok((tenant.st.loads.len() as u64, tenant.st.quarantine.is_some()));
         }
         // Fresh tenant: open its WAL and log the registration first.
         let types = spec.server_types().map_err(|detail| (ErrorCode::Input, detail))?;
@@ -331,25 +429,9 @@ impl Daemon {
         writer
             .append(&WalRecord::Register(spec.clone()))
             .map_err(|e| (ErrorCode::Quarantined, format!("WAL append failed: {e}")))?;
-        let state = TenantState {
-            spec,
-            types,
-            loads: Vec::new(),
-            decisions: Vec::new(),
-            controller: None,
-            wal: Some(writer),
-            fresh_since_snapshot: 0,
-            quarantine: None,
-            counters: TenantCounters::default(),
-            fingerprints: Vec::new(),
-            last_sealed_through: 0,
-            last_snapshot_k: 0,
-            fp_checked: 0,
-        };
-        lock_clean(&self.tenants).insert(
-            name.to_owned(),
-            Arc::new(TenantSlot { waiting: AtomicUsize::new(0), state: Mutex::new(state) }),
-        );
+        let live = Live::new(&spec, self.full_fingerprints(&spec));
+        let state = Self::empty_state(spec, types, Some(writer));
+        lock_clean(&self.tenants).insert(name.to_owned(), TenantSlot::new(state, live));
         Ok((0, false))
     }
 
@@ -374,8 +456,9 @@ impl Daemon {
             return error_line(ErrorCode::Overloaded, "tenant queue full; retry with backoff");
         }
         let _guard = QueueGuard(&slot.waiting);
-        let mut st = lock_clean(&slot.state);
-        match self.tick_core(&mut st, name, seq, load) {
+        let mut tenant = lock_clean(&slot.state);
+        let Tenant { st, live } = &mut *tenant;
+        match self.tick_core(st, live, name, seq, load) {
             Ok((config, rung, replayed)) => decision_line(seq, &config, rung, replayed),
             Err((code, detail)) => error_line(code, &detail),
         }
@@ -387,10 +470,12 @@ impl Daemon {
     /// makes failover bit-identical): quarantine gate → idempotent
     /// sequencing → validation → WAL append (+rotation) → step →
     /// snapshot and fingerprint cadences. The returned `bool` is true
-    /// when the decision was replayed from committed history.
+    /// when the decision was replayed from committed history. Every
+    /// step costs `O(1)` amortized in the tenant's history depth.
     fn tick_core(
         &self,
         st: &mut TenantState,
+        live: &mut Live,
         name: &str,
         seq: u64,
         load: f64,
@@ -409,7 +494,7 @@ impl Daemon {
                     ),
                 ));
             }
-            match self.revive(st, name, &[]) {
+            match self.revive(st, live, name, &[]) {
                 Ok(()) => {
                     st.quarantine = None;
                     self.counters.revives.fetch_add(1, Ordering::Relaxed);
@@ -468,9 +553,15 @@ impl Daemon {
             }
         }
         st.loads.push(load);
-        self.maybe_rotate(st, name);
+        if let Err(detail) = live.push_load(&st.types, load) {
+            // Revival rebuilds the instance from the accepted loads.
+            live.instance = None;
+            self.quarantine(st, name, QuarantineReason::Solver, detail.clone());
+            return Err((ErrorCode::Solver, detail));
+        }
+        self.maybe_rotate(st, live, name);
 
-        match self.step(st, name) {
+        match self.step(st, live) {
             Ok((config, rung, elapsed)) => {
                 st.counters.decisions += 1;
                 st.counters.push_latency(elapsed.as_secs_f64());
@@ -482,18 +573,16 @@ impl Daemon {
                     st.spec.snapshot_every
                 };
                 if cadence > 0 && st.fresh_since_snapshot >= cadence {
-                    self.write_snapshot(st, name);
+                    self.write_snapshot(st, live, name);
                 }
                 let fe = self.options.fingerprint_every;
                 if fe > 0 && st.loads.len().is_multiple_of(fe) {
-                    // With a deadline armed the ladder may descend on
-                    // wall-clock overruns, so committed decisions are
-                    // not replica-comparable; the fingerprint then
-                    // covers the spec + accepted loads only.
-                    let full = st.spec.effective_deadline(self.options.deadline).is_none();
-                    let decisions = if full { Some(st.decisions.as_slice()) } else { None };
-                    let fp = state_fingerprint(&st.spec, &st.loads, decisions);
-                    st.push_fingerprint(Fingerprint { k: st.loads.len() as u64, fp, full });
+                    let k = st.loads.len() as u64;
+                    st.push_fingerprint(Fingerprint {
+                        k,
+                        fp: live.fp.value(),
+                        full: live.fp.full(),
+                    });
                 }
                 Ok((config, rung, false))
             }
@@ -510,7 +599,7 @@ impl Daemon {
     /// is self-describing. Rotation only happens between appends, hence
     /// always at a record boundary — a torn tail can only ever live in
     /// the active file.
-    fn maybe_rotate(&self, st: &mut TenantState, name: &str) {
+    fn maybe_rotate(&self, st: &mut TenantState, live: &mut Live, name: &str) {
         let limit = self.options.segment_bytes;
         if limit == 0 {
             return;
@@ -530,6 +619,7 @@ impl Daemon {
             return;
         }
         st.last_sealed_through = through;
+        live.segments.push(through);
         self.counters.segments_sealed.fetch_add(1, Ordering::Relaxed);
         if let Ok(mut w) = WalWriter::open(&active, self.options.fsync) {
             // An append failure here leaves the active log empty;
@@ -540,28 +630,31 @@ impl Daemon {
         }
     }
 
-    /// Decide the latest accepted slot. The controller runs under
+    /// Decide the latest slot of the prefix instance (the one after the
+    /// last committed decision). The controller runs under
     /// `catch_unwind`: a panic here is the tenant's problem, never the
     /// daemon's.
     fn step(
         &self,
         st: &mut TenantState,
-        name: &str,
+        live: &mut Live,
     ) -> Result<(Config, rsz_online::Rung, Duration), (QuarantineReason, String)> {
         if st.controller.is_none() {
-            self.build_tenant_controller(st, name)?;
+            self.build_tenant_controller(st, live)?;
         }
-        let instance = st.prefix_instance().map_err(|e| (QuarantineReason::Solver, e))?;
-        let t = st.loads.len() - 1;
+        let instance = live.instance.as_ref().expect("the controller was built over it");
+        let t = instance.horizon() - 1;
+        debug_assert_eq!(t, st.decisions.len(), "one decision per revealed slot");
         let controller = st.controller.as_mut().expect("just built");
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rsz_online::OnlineAlgorithm::decide(controller, &instance, t)
+            rsz_online::OnlineAlgorithm::decide(controller, instance, t)
         }));
         let elapsed = start.elapsed();
         match outcome {
             Ok(config) => {
                 let rung = controller.rung();
+                live.fp.extend(instance.load(t), Some(&config));
                 st.decisions.push(config.clone());
                 Ok((config, rung, elapsed))
             }
@@ -578,17 +671,19 @@ impl Daemon {
         }
     }
 
-    /// Build (or rebuild) the tenant's degrader for its current prefix
-    /// and install the shared pricing pool.
+    /// Build (or rebuild) the tenant's degrader over the current prefix
+    /// instance and install the shared pricing pool.
     fn build_tenant_controller(
         &self,
         st: &mut TenantState,
-        _name: &str,
+        live: &Live,
     ) -> Result<(), (QuarantineReason, String)> {
-        let instance = st.prefix_instance().map_err(|e| (QuarantineReason::Solver, e))?;
+        let Some(instance) = live.instance.as_ref() else {
+            return Err((QuarantineReason::Solver, "no accepted tick to build over".into()));
+        };
         let spec = st.spec.clone();
         let inner =
-            catch_unwind(AssertUnwindSafe(|| build_controller(&spec, &instance, spec.grid.mode())))
+            catch_unwind(AssertUnwindSafe(|| build_controller(&spec, instance, spec.grid.mode())))
                 .map_err(|p| (QuarantineReason::Solver, panic_message(p)))?
                 .map_err(|e| (QuarantineReason::Solver, e))?;
         let factory_spec = st.spec.clone();
@@ -600,7 +695,7 @@ impl Daemon {
             factory,
             st.degrade_options(self.options.deadline, self.options.coarse_gamma),
         );
-        self.install_pool(st, &instance, &mut degrader);
+        self.install_pool(st, instance, &mut degrader);
         st.controller = Some(degrader);
         Ok(())
     }
@@ -625,10 +720,13 @@ impl Daemon {
     }
 
     /// Bring a tenant back from quarantine (or rebuild a controller a
-    /// panic destroyed): restore from the snapshot when possible, merge
-    /// the WAL's tick suffix (which may start past zero once segments
-    /// have been compacted away), fall back to a full WAL replay, then
-    /// replay any undecided suffix through the normal step path.
+    /// panic destroyed), reading in order: the history log (the durable
+    /// loads and decisions), the snapshot core (controller state at its
+    /// `k`; the history's decisions are cut there), then the WAL's tick
+    /// suffix (which may start past zero once segments have been
+    /// compacted away). Whatever is undecided then replays through the
+    /// normal step path. No snapshot, or a bad one, means a full replay
+    /// of the recovered loads.
     ///
     /// A diverged tenant is *not* revivable from local storage — its
     /// own WAL would faithfully replay the same divergent state — so
@@ -637,6 +735,7 @@ impl Daemon {
     fn revive(
         &self,
         st: &mut TenantState,
+        live: &mut Live,
         name: &str,
         wal_suffix: &[(u64, f64)],
     ) -> Result<(), (QuarantineReason, String)> {
@@ -664,19 +763,27 @@ impl Daemon {
         }
         st.controller = None;
         st.decisions.clear();
-        self.restore_from_snapshot(st, name);
-        // Merge the WAL ticks over whatever prefix the snapshot (or
-        // live memory) established: overlap must agree bit-for-bit, the
-        // contiguous extension is validated and accepted, and a gap
-        // means compaction deleted segments the snapshot was supposed
-        // to cover — unrecoverable locally.
+        live.instance = None;
+
+        let hist = history::read(&history::hist_path(&self.options.state_dir, name), name)
+            .map_err(|e| (QuarantineReason::WalCorrupt, e))?;
+        merge_prefix(st, &hist.loads, "history log")
+            .map_err(|e| (QuarantineReason::WalCorrupt, e))?;
+        live.hist_k = hist.loads.len();
+        self.restore_from_snapshot(st, live, name, hist.decisions);
+
+        // Merge the WAL ticks over whatever prefix history and snapshot
+        // (or live memory) established: overlap must agree bit-for-bit,
+        // the contiguous extension is validated and accepted, and a gap
+        // means compaction deleted segments the history was supposed to
+        // cover — unrecoverable locally.
         for &(seq, load) in wal_suffix {
             let len = st.loads.len() as u64;
             if seq < len {
                 if st.loads[seq as usize].to_bits() != load.to_bits() {
                     return Err((
                         QuarantineReason::WalCorrupt,
-                        format!("WAL tick at seq {seq} disagrees with the snapshot prefix"),
+                        format!("WAL tick at seq {seq} disagrees with the recovered prefix"),
                     ));
                 }
             } else if seq == len {
@@ -692,7 +799,7 @@ impl Daemon {
                     QuarantineReason::WalCorrupt,
                     format!(
                         "WAL resumes at seq {seq} but only {len} ticks are recoverable \
-                         (compacted log without its snapshot)"
+                         (compacted log without its history)"
                     ),
                 ));
             }
@@ -700,41 +807,58 @@ impl Daemon {
         // Replay the undecided suffix through the very same step path a
         // live tick takes — this is what makes resume bit-identical.
         while st.decisions.len() < st.loads.len() {
-            let have = st.decisions.len();
-            let full = std::mem::take(&mut st.loads);
-            st.loads = full[..=have].to_vec();
-            let result = self.step(st, name);
-            st.loads = full;
-            result?;
+            let load = st.loads[st.decisions.len()];
+            live.push_load(&st.types, load).map_err(|e| (QuarantineReason::Solver, e))?;
+            self.step(st, live)?;
         }
+        // The running fingerprint, built once over the recovered state.
+        let decisions = live.fp.full().then_some(st.decisions.as_slice());
+        live.fp = FingerprintStream::over(&st.spec, &st.loads, decisions);
         Ok(())
     }
 
     /// Try to restore controller + committed decisions from the
     /// snapshot file. Any failure falls back to a fresh controller
-    /// (full WAL replay) — a bad snapshot degrades recovery time, not
-    /// correctness, and is counted + detailed.
-    fn restore_from_snapshot(&self, st: &mut TenantState, name: &str) {
+    /// (full replay of the recovered loads) — a bad snapshot degrades
+    /// recovery time, not correctness, and is counted.
+    fn restore_from_snapshot(
+        &self,
+        st: &mut TenantState,
+        live: &mut Live,
+        name: &str,
+        committed: Vec<Config>,
+    ) {
         let path = wal::snap_path(&self.options.state_dir, name);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(_) => return, // no snapshot: full replay
         };
-        if self.try_restore(st, name, &bytes).is_err() {
-            // Quarantine would be wrong here: the WAL still recovers
-            // this tenant fully, just slower. Count the fallback.
+        if self.try_restore(st, live, name, &bytes, committed).is_err() {
+            // Quarantine would be wrong here: the history and WAL still
+            // recover this tenant fully, just slower. Count the fallback.
             st.controller = None;
             st.decisions.clear();
+            live.instance = None;
             st.counters.snapshot_fallbacks += 1;
             self.counters.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn try_restore(&self, st: &mut TenantState, name: &str, bytes: &[u8]) -> Result<(), String> {
+    /// Restore from a core snapshot `(format, name, spec, k, algo tag,
+    /// controller state)`: the controller is rebuilt over the first `k`
+    /// recovered loads and the history's decisions are cut at `k`.
+    fn try_restore(
+        &self,
+        st: &mut TenantState,
+        live: &mut Live,
+        name: &str,
+        bytes: &[u8],
+        mut committed: Vec<Config>,
+    ) -> Result<(), String> {
         let mut dec =
             Decoder::from_sealed(bytes).map_err(|e| describe_snapshot_error(bytes, &e))?;
         let version = dec.take_u8().map_err(stringify)?;
-        if version != SNAP_FORMAT {
+        if version != SNAP_FORMAT && version != SNAP_FORMAT_V2 {
             return Err(format!("snapshot format {version} (this daemon writes {SNAP_FORMAT})"));
         }
         let snap_name =
@@ -750,96 +874,123 @@ impl Daemon {
         if k == 0 {
             return Err("snapshot covers zero slots".into());
         }
-        let mut snap_loads = Vec::with_capacity(k);
-        for _ in 0..k {
-            snap_loads.push(dec.take_f64().map_err(stringify)?);
+        if version == SNAP_FORMAT_V2 {
+            return self.upgrade_v2(st, live, name, k, &mut dec);
         }
-        // The accepted loads already in memory (live revive) or already
-        // replayed from the WAL are ground truth: the snapshot's prefix
-        // must agree with them bit-for-bit. When the snapshot reaches
-        // *past* what the WAL still holds (compaction deleted covered
-        // segments), the snapshot supplies the missing prefix.
-        let overlap = k.min(st.loads.len());
-        for (i, snap) in snap_loads.iter().enumerate().take(overlap) {
-            if st.loads[i].to_bits() != snap.to_bits() {
-                return Err(format!("snapshot load at seq {i} disagrees with the WAL"));
-            }
+        if k > committed.len() {
+            return Err(format!(
+                "snapshot at {k} ticks outruns its history log ({} ticks)",
+                committed.len()
+            ));
         }
-        let inner = dec.take_bytes().map_err(stringify)?.to_vec();
-        let original = std::mem::take(&mut st.loads);
-        // Controller rebuild + inner restore see exactly the snapshot's
-        // k-slot prefix.
-        st.loads = if k > original.len() { snap_loads } else { original[..k].to_vec() };
-        let built = self.build_tenant_controller(st, name);
-        let result = (|| {
-            built.map_err(|(_, e)| e)?;
-            let instance = st.prefix_instance()?;
-            let controller = st.controller.as_mut().expect("just built");
-            let committed = restore_run(controller, &instance, &inner)
-                .map_err(|e| describe_snapshot_error(&inner, &e))?;
-            if committed.len() != k {
-                return Err("snapshot committed length disagrees with its header".into());
-            }
-            st.decisions = committed.iter().map(|(_, c)| c.clone()).collect();
-            Ok(())
-        })();
-        match &result {
-            Ok(()) => {
-                // Keep whichever committed prefix reaches further: the
-                // in-memory/WAL loads past k survive the restore.
-                if original.len() > k {
-                    st.loads = original;
-                }
-                st.last_snapshot_k = st.last_snapshot_k.max(k);
-                // restore_state rebuilds internal pools as owned, so
-                // the shared handle must be re-installed after restore.
-                if let Ok(instance) = st.prefix_instance() {
-                    if let Some(mut degrader) = st.controller.take() {
-                        self.install_pool(st, &instance, &mut degrader);
-                        st.controller = Some(degrader);
-                    }
-                }
-            }
-            Err(_) => {
-                // A failed restore must leave the loads exactly as the
-                // WAL established them — never the snapshot's.
-                st.loads = original;
-                st.controller = None;
-                st.decisions.clear();
-            }
+        let tag = dec.take_bytes().map_err(stringify)?;
+        live.instance = Some(instance_over(&st.types, &st.loads[..k])?);
+        self.build_tenant_controller(st, live).map_err(|(_, e)| e)?;
+        let instance = live.instance.as_ref().expect("just built");
+        let controller = st.controller.as_mut().expect("just built");
+        if tag != controller.algo_tag().as_bytes() {
+            return Err("snapshot was taken by a different controller".into());
         }
-        result
+        controller.restore_state(instance, &mut dec).map_err(stringify)?;
+        if !dec.is_empty() {
+            return Err("trailing bytes after the controller state".into());
+        }
+        committed.truncate(k);
+        st.decisions = committed;
+        self.restored(st, live, k);
+        Ok(())
     }
 
-    /// Seal the tenant's state: `(format, name, spec, k, loads[..k],
-    /// save_run bytes)` in a checksummed envelope, written via tmp +
-    /// rename so a crash leaves either the old snapshot or the new one,
-    /// never a hybrid. A durable snapshot then compacts the WAL: every
-    /// sealed segment it fully covers is deleted.
-    fn write_snapshot(&self, st: &mut TenantState, name: &str) {
+    /// The upgrade path from a format-2 snapshot (the whole load prefix
+    /// plus a `save_run` envelope): its loads and committed decisions
+    /// seed the history log, then the controller restores from the
+    /// envelope when its layout is still current. Algorithm B and C
+    /// states are refused by their tag, which sends the tenant through a
+    /// full replay of the seeded loads.
+    fn upgrade_v2(
+        &self,
+        st: &mut TenantState,
+        live: &mut Live,
+        name: &str,
+        k: usize,
+        dec: &mut Decoder<'_>,
+    ) -> Result<(), String> {
+        let mut loads = Vec::with_capacity(k.min(1 << 20));
+        for _ in 0..k {
+            loads.push(dec.take_f64().map_err(stringify)?);
+        }
+        let inner = dec.take_bytes().map_err(stringify)?;
+        let decisions = v2_committed(inner, k, st.types.len())?;
+        merge_prefix(st, &loads, "snapshot")?;
+        if live.hist_k < k {
+            let path = history::hist_path(&self.options.state_dir, name);
+            let (from, fsync) = (live.hist_k, self.options.fsync);
+            history::append(&path, name, &st.spec, from, &loads[from..], &decisions[from..], fsync)
+                .map_err(|e| format!("history log seed failed: {e}"))?;
+            live.hist_k = k;
+        }
+        live.instance = Some(instance_over(&st.types, &st.loads[..k])?);
+        self.build_tenant_controller(st, live).map_err(|(_, e)| e)?;
+        let instance = live.instance.as_ref().expect("just built");
+        let controller = st.controller.as_mut().expect("just built");
+        restore_run(controller, instance, inner).map_err(|e| describe_snapshot_error(inner, &e))?;
+        st.decisions = decisions;
+        self.restored(st, live, k);
+        Ok(())
+    }
+
+    /// Bookkeeping after a successful restore at `k`.
+    fn restored(&self, st: &mut TenantState, live: &mut Live, k: usize) {
+        st.last_snapshot_k = st.last_snapshot_k.max(k);
+        // restore_state rebuilds internal pools as owned, so the shared
+        // handle must be re-installed after restore.
+        if let (Some(instance), Some(mut degrader)) = (live.instance.as_ref(), st.controller.take())
+        {
+            self.install_pool(st, instance, &mut degrader);
+            st.controller = Some(degrader);
+        }
+    }
+
+    /// Seal the tenant's state. First the ticks decided since the last
+    /// snapshot go to the history log as one delta record (synced when
+    /// fsync is on); then the core `(format, name, spec, k, algo tag,
+    /// controller state)` goes to a checksummed envelope via tmp +
+    /// rename, so a crash leaves either the old snapshot or the new
+    /// one, never a hybrid. Neither depends on `k` in size. A durable
+    /// snapshot then compacts the WAL: every sealed segment it fully
+    /// covers is deleted.
+    fn write_snapshot(&self, st: &mut TenantState, live: &mut Live, name: &str) {
         let Some(controller) = st.controller.as_ref() else { return };
         let k = st.decisions.len();
         if k == 0 || k != st.loads.len() {
             return;
         }
-        let instance = match st.prefix_instance() {
-            Ok(i) => i,
-            Err(_) => return,
-        };
-        let mut committed = Schedule::empty();
-        for c in &st.decisions {
-            committed.push(c.clone());
+        if live.hist_k < k {
+            let path = history::hist_path(&self.options.state_dir, name);
+            let from = live.hist_k;
+            let appended = history::append(
+                &path,
+                name,
+                &st.spec,
+                from,
+                &st.loads[from..k],
+                &st.decisions[from..k],
+                self.options.fsync,
+            );
+            if appended.is_err() {
+                // The WAL still holds these ticks; retry at the next
+                // cadence.
+                return;
+            }
+            live.hist_k = k;
         }
-        let inner = save_run(controller, &instance, &committed);
         let mut enc = Encoder::new();
         enc.put_u8(SNAP_FORMAT);
         enc.put_bytes(name.as_bytes());
         st.spec.encode(&mut enc);
         enc.put_usize(k);
-        for load in &st.loads[..k] {
-            enc.put_f64(*load);
-        }
-        enc.put_bytes(&inner);
+        enc.put_bytes(controller.algo_tag().as_bytes());
+        controller.save_state(&mut enc);
         let sealed = enc.into_sealed();
         let path = wal::snap_path(&self.options.state_dir, name);
         let tmp = path.with_extension("snap.tmp");
@@ -856,7 +1007,7 @@ impl Daemon {
                 st.last_snapshot_k = k;
                 st.counters.snapshots += 1;
                 self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
-                self.compact_segments(st, name, k as u64);
+                self.compact_segments(live, name, k as u64);
             }
             Err(_) => {
                 // Snapshot write failure is not fatal: the WAL still
@@ -866,75 +1017,103 @@ impl Daemon {
         }
     }
 
-    /// Delete sealed WAL segments the durable snapshot fully covers:
-    /// a segment running through `through ≤ k` contributes nothing the
-    /// snapshot's bit-exact load prefix does not already hold.
-    fn compact_segments(&self, _st: &mut TenantState, name: &str, k: u64) {
-        for (through, path) in wal::list_segments(&self.options.state_dir, name) {
-            if through <= k && std::fs::remove_file(&path).is_ok() {
-                self.counters.segments_compacted.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Delete the sealed WAL segments the durable snapshot fully covers:
+    /// a segment running through `through ≤ k` holds nothing the history
+    /// log does not. Decided from the in-memory segment list, so a
+    /// snapshot never scans the state directory.
+    fn compact_segments(&self, live: &mut Live, name: &str, k: u64) {
+        if live.segments.first().is_none_or(|&oldest| oldest > k) {
+            return;
         }
+        let dir = &self.options.state_dir;
+        live.segments.retain(|&through| {
+            if through > k {
+                return true;
+            }
+            match std::fs::remove_file(wal::seg_path(dir, name, through)) {
+                Ok(()) => {
+                    self.counters.segments_compacted.fetch_add(1, Ordering::Relaxed);
+                    false
+                }
+                Err(e) => e.kind() != std::io::ErrorKind::NotFound,
+            }
+        });
     }
 
     /// Snapshot every live tenant (orderly shutdown).
     pub fn snapshot_all(&self) {
-        let slots: Vec<(String, Arc<TenantSlot>)> = {
-            let tenants = lock_clean(&self.tenants);
-            tenants.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        for (name, slot) in slots {
-            let mut st = lock_clean(&slot.state);
+        for (name, slot) in self.slots() {
+            let mut tenant = lock_clean(&slot.state);
+            let Tenant { st, live } = &mut *tenant;
             if st.quarantine.is_none() {
-                self.write_snapshot(&mut st, &name);
+                self.write_snapshot(st, live, &name);
             }
         }
     }
 
-    /// Scan the state directory for surviving state and recover each
-    /// tenant. A tenant is discoverable through its active WAL, any
-    /// sealed segment, or its snapshot — a crash between seal-rename
-    /// and fresh-active-open leaves no `.wal` file, and compaction can
-    /// leave a snapshot as the only pre-suffix evidence. Per-tenant
-    /// failures quarantine that tenant; nothing here aborts startup.
+    /// Every tenant slot, sorted by name.
+    fn slots(&self) -> Vec<(String, Arc<TenantSlot>)> {
+        let tenants = lock_clean(&self.tenants);
+        let mut v: Vec<_> = tenants.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v
+    }
+
+    /// Scan the state directory once for surviving state and recover
+    /// each tenant. A tenant is discoverable through its active WAL, any
+    /// sealed segment, its snapshot or its history log — a crash between
+    /// seal-rename and fresh-active-open leaves no `.wal` file, and
+    /// compaction can leave snapshot and history as the only pre-suffix
+    /// evidence. Sealed segments are grouped per tenant in the same
+    /// pass. Per-tenant failures quarantine that tenant; nothing here
+    /// aborts startup.
     fn recover_all(&self) {
         let entries = match std::fs::read_dir(&self.options.state_dir) {
             Ok(e) => e,
             Err(_) => return,
         };
-        let mut names = std::collections::BTreeSet::new();
+        let mut tenants: BTreeMap<String, Vec<(u64, PathBuf)>> = BTreeMap::new();
         for entry in entries.flatten() {
             let path = entry.path();
             let Some(file) = path.file_name().and_then(|s| s.to_str()) else { continue };
-            if let Some(stem) = file.strip_suffix(".wal").or_else(|| file.strip_suffix(".snap")) {
-                names.insert(stem.to_owned());
+            let stem = file
+                .strip_suffix(".wal")
+                .or_else(|| file.strip_suffix(".snap"))
+                .or_else(|| file.strip_suffix(".hist"));
+            if let Some(stem) = stem {
+                tenants.entry(stem.to_owned()).or_default();
             } else if let Some(stem) = file.strip_suffix(".walseg") {
                 // `<tenant>.NNNNNNNNNNNN.walseg`
                 if let Some((tenant, digits)) = stem.rsplit_once('.') {
                     if digits.len() == 12 && digits.bytes().all(|b| b.is_ascii_digit()) {
-                        names.insert(tenant.to_owned());
+                        if let Ok(through) = digits.parse::<u64>() {
+                            tenants.entry(tenant.to_owned()).or_default().push((through, path));
+                        }
                     }
                 }
             }
         }
-        for name in names {
-            if let Some(state) = self.recover_tenant(&name) {
+        for (name, mut segments) in tenants {
+            segments.sort_by_key(|&(through, _)| through);
+            if let Some((st, live)) = self.recover_tenant(&name, segments) {
                 self.counters.recovered.fetch_add(1, Ordering::Relaxed);
-                lock_clean(&self.tenants).insert(
-                    name,
-                    Arc::new(TenantSlot { waiting: AtomicUsize::new(0), state: Mutex::new(state) }),
-                );
+                lock_clean(&self.tenants).insert(name, TenantSlot::new(st, live));
             }
         }
     }
 
-    /// Recover one tenant from its sealed WAL segments + active WAL
-    /// (+snapshot). Returns `None` only when nothing usable survives at
-    /// all (no registration in any log and no readable snapshot).
-    fn recover_tenant(&self, name: &str) -> Option<TenantState> {
+    /// Recover one tenant from its sealed WAL `segments` (ascending) and
+    /// active WAL, plus history and snapshot. Returns `None` only when
+    /// nothing usable survives at all (no registration in any log, and
+    /// no readable snapshot or history header).
+    fn recover_tenant(
+        &self,
+        name: &str,
+        segments: Vec<(u64, PathBuf)>,
+    ) -> Option<(TenantState, Live)> {
         let active = wal::wal_path(&self.options.state_dir, name);
-        let segments = wal::list_segments(&self.options.state_dir, name);
         let last_sealed_through = segments.last().map_or(0, |(t, _)| *t);
+        let throughs: Vec<u64> = segments.iter().map(|&(t, _)| t).collect();
         let mut sources: Vec<(PathBuf, bool)> =
             segments.into_iter().map(|(_, p)| (p, false)).collect();
         sources.push((active.clone(), true));
@@ -998,7 +1177,7 @@ impl Daemon {
                         let contiguous = match ticks.last() {
                             // Compaction may have deleted early
                             // segments: any starting seq is legal, the
-                            // snapshot must cover the gap (checked in
+                            // history must cover the gap (checked in
                             // revive).
                             None => true,
                             Some(&(last, _)) => seq == last + 1,
@@ -1018,26 +1197,17 @@ impl Daemon {
         }
 
         // No usable registration anywhere: nothing to attach to.
-        let spec = spec.or_else(|| self.snapshot_spec(name))?;
+        let spec = spec.or_else(|| self.snapshot_spec(name)).or_else(|| {
+            history::read(&history::hist_path(&self.options.state_dir, name), name).ok()?.spec
+        })?;
         let types = spec.server_types().ok()?;
-        let mut state = TenantState {
-            spec,
-            types,
-            loads: Vec::new(),
-            decisions: Vec::new(),
-            controller: None,
-            wal: None,
-            fresh_since_snapshot: 0,
-            quarantine: None,
-            counters: TenantCounters::default(),
-            fingerprints: Vec::new(),
-            last_sealed_through,
-            last_snapshot_k: 0,
-            fp_checked: 0,
-        };
+        let mut live = Live::new(&spec, self.full_fingerprints(&spec));
+        live.segments = throughs;
+        let mut state = Self::empty_state(spec, types, None);
+        state.last_sealed_through = last_sealed_through;
         if let Some(detail) = corrupt_detail {
             self.quarantine(&mut state, name, QuarantineReason::WalCorrupt, detail);
-            return Some(state);
+            return Some((state, live));
         }
         match WalWriter::open(&active, self.options.fsync) {
             Ok(mut w) => {
@@ -1055,22 +1225,22 @@ impl Daemon {
                     QuarantineReason::Io,
                     format!("WAL reopen failed: {e}"),
                 );
-                return Some(state);
+                return Some((state, live));
             }
         }
-        if let Err((reason, detail)) = self.revive(&mut state, name, &ticks) {
+        if let Err((reason, detail)) = self.revive(&mut state, &mut live, name, &ticks) {
             self.quarantine(&mut state, name, reason, detail);
         }
-        Some(state)
+        Some((state, live))
     }
 
-    /// Peek a snapshot's header for the tenant spec — the fallback
+    /// Peek a snapshot's header for the tenant spec — a fallback
     /// registration source when compaction + crash timing left no WAL
     /// holding a `Register` record.
     fn snapshot_spec(&self, name: &str) -> Option<TenantSpec> {
         let bytes = std::fs::read(wal::snap_path(&self.options.state_dir, name)).ok()?;
         let mut dec = Decoder::from_sealed(&bytes).ok()?;
-        if dec.take_u8().ok()? != SNAP_FORMAT {
+        if !matches!(dec.take_u8().ok()?, SNAP_FORMAT | SNAP_FORMAT_V2) {
             return None;
         }
         let snap_name = wire::take_str(&mut dec, "snapshot tenant name is not UTF-8").ok()?;
@@ -1104,17 +1274,14 @@ impl Daemon {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let slots: Vec<(String, Arc<TenantSlot>)> = {
-            let tenants = lock_clean(&self.tenants);
-            tenants.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        for (name, slot) in slots {
-            let mut st = lock_clean(&slot.state);
+        for (name, slot) in self.slots() {
+            let mut tenant = lock_clean(&slot.state);
+            let Tenant { st, live } = &mut *tenant;
             if let Some(w) = st.wal.as_mut() {
                 let _ = w.sync();
             }
             if st.quarantine.is_none() {
-                self.write_snapshot(&mut st, &name);
+                self.write_snapshot(st, live, &name);
             }
         }
     }
@@ -1135,13 +1302,13 @@ impl Daemon {
     /// reports as `have` in `repl.sync`.
     #[must_use]
     pub fn replication_have(&self) -> Vec<(String, u64)> {
-        let tenants = lock_clean(&self.tenants);
-        let mut have: Vec<(String, u64)> = tenants
-            .iter()
-            .map(|(name, slot)| (name.clone(), lock_clean(&slot.state).loads.len() as u64))
-            .collect();
-        have.sort();
-        have
+        self.slots()
+            .into_iter()
+            .map(|(name, slot)| {
+                let n = lock_clean(&slot.state).st.loads.len() as u64;
+                (name, n)
+            })
+            .collect()
     }
 
     /// Replication lag gauge (accepted ticks behind the primary after
@@ -1163,12 +1330,13 @@ impl Daemon {
             tenants.get(name).cloned()
         };
         let Some(slot) = slot else { return false };
-        let mut st = lock_clean(&slot.state);
-        if st.loads.is_empty() {
+        let mut tenant = lock_clean(&slot.state);
+        let loads = &mut tenant.st.loads;
+        if loads.is_empty() {
             return false;
         }
-        let mid = st.loads.len() / 2;
-        st.loads[mid] = f64::from_bits(st.loads[mid].to_bits() ^ (1 << 30));
+        let mid = loads.len() / 2;
+        loads[mid] = f64::from_bits(loads[mid].to_bits() ^ (1 << 30));
         true
     }
 
@@ -1179,15 +1347,10 @@ impl Daemon {
     fn sync_reply(&self, replica: &str, have: &[(String, u64)]) -> String {
         self.counters.repl_syncs.fetch_add(1, Ordering::Relaxed);
         let have: HashMap<&str, u64> = have.iter().map(|(t, n)| (t.as_str(), *n)).collect();
-        let slots: Vec<(String, Arc<TenantSlot>)> = {
-            let tenants = lock_clean(&self.tenants);
-            let mut v: Vec<_> = tenants.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
         let mut tenant_objs: Vec<(String, Json)> = Vec::new();
-        for (name, slot) in slots {
-            let st = lock_clean(&slot.state);
+        for (name, slot) in self.slots() {
+            let tenant = lock_clean(&slot.state);
+            let st = &tenant.st;
             // Quarantined state never replicates: the replica keeps its
             // own (healthy or older) view instead of inheriting faults.
             if st.quarantine.is_some() {
@@ -1206,7 +1369,7 @@ impl Daemon {
                 }));
             }
             let fps: Vec<Json> = st
-                .fingerprints
+                .fingerprint_ring()
                 .iter()
                 .map(|f| {
                     Json::Obj(vec![
@@ -1293,8 +1456,9 @@ impl Daemon {
                     let Some(slot) = slot else {
                         return Err(format!("tick {seq} for an unregistered tenant"));
                     };
-                    let mut st = lock_clean(&slot.state);
-                    match self.tick_core(&mut st, name, seq, load) {
+                    let mut tenant = lock_clean(&slot.state);
+                    let Tenant { st, live } = &mut *tenant;
+                    match self.tick_core(st, live, name, seq, load) {
                         Ok((_, _, replayed)) => {
                             if !replayed {
                                 report.applied += 1;
@@ -1311,40 +1475,14 @@ impl Daemon {
             tenants.get(name).cloned()
         };
         let Some(slot) = slot else { return Ok(()) };
-        let mut st = lock_clean(&slot.state);
+        let mut tenant = lock_clean(&slot.state);
+        let Tenant { st, live } = &mut *tenant;
         report.lag += primary_ticks.saturating_sub(st.loads.len() as u64);
         if st.quarantine.is_some() {
             return Ok(());
         }
-        // Cross-check the primary's fingerprints against our own state
-        // — every k we have reached and not yet checked.
         if let Some(Json::Arr(fps)) = body.get("fps") {
-            for fp_obj in fps {
-                let Some(k) = fp_obj.get("k").and_then(Json::as_u64) else { continue };
-                let Some(fp_hex) = fp_obj.get("fp").and_then(Json::as_str) else { continue };
-                let Ok(theirs) = u64::from_str_radix(fp_hex, 16) else { continue };
-                let full = fp_obj.get("full").and_then(Json::as_bool).unwrap_or(false);
-                if k == 0 || k <= st.fp_checked || k > st.loads.len() as u64 {
-                    continue;
-                }
-                if full && st.decisions.len() < k as usize {
-                    continue; // undecided suffix; the next sync re-checks
-                }
-                let decisions = if full { Some(&st.decisions[..k as usize]) } else { None };
-                let ours = state_fingerprint(&st.spec, &st.loads[..k as usize], decisions);
-                st.fp_checked = k;
-                report.fp_checks += 1;
-                self.counters.fingerprint_checks.fetch_add(1, Ordering::Relaxed);
-                if ours != theirs {
-                    report.fp_mismatches += 1;
-                    self.counters.fingerprint_mismatches.fetch_add(1, Ordering::Relaxed);
-                    let detail = format!(
-                        "state fingerprint at k={k} is {ours:016x}, primary says {theirs:016x}"
-                    );
-                    self.quarantine(&mut st, name, QuarantineReason::Divergence, detail.clone());
-                    return Err(detail);
-                }
-            }
+            self.check_fingerprints(st, name, fps, report)?;
         }
         // The primary's durable horizon advanced past ours: seal our
         // own snapshot (which also compacts our sealed segments).
@@ -1353,7 +1491,69 @@ impl Daemon {
                 && st.decisions.len() == st.loads.len()
                 && st.loads.len() as u64 >= snap_k
             {
-                self.write_snapshot(&mut st, name);
+                self.write_snapshot(st, live, name);
+            }
+        }
+        Ok(())
+    }
+
+    /// Cross-check the primary's fingerprints against our own stored
+    /// state — every `k` we have reached and not yet checked. Ours are
+    /// recomputed from scratch over the stored prefix (in one pass per
+    /// sync, off the tick path), not read off the running stream: that
+    /// is what also catches corruption at rest in this replica's copy.
+    fn check_fingerprints(
+        &self,
+        st: &mut TenantState,
+        name: &str,
+        fps: &[Json],
+        report: &mut ApplyReport,
+    ) -> Result<(), String> {
+        let mut wanted: Vec<(u64, u64, bool)> = fps
+            .iter()
+            .filter_map(|fp_obj| {
+                let k = fp_obj.get("k").and_then(Json::as_u64)?;
+                let theirs =
+                    u64::from_str_radix(fp_obj.get("fp").and_then(Json::as_str)?, 16).ok()?;
+                let full = fp_obj.get("full").and_then(Json::as_bool).unwrap_or(false);
+                // An undecided suffix is skipped; the next sync re-checks.
+                let ready = k > st.fp_checked
+                    && k <= st.loads.len() as u64
+                    && (!full || k <= st.decisions.len() as u64);
+                ready.then_some((k, theirs, full))
+            })
+            .collect();
+        wanted.sort_by_key(|&(k, _, _)| k);
+        let mut lean = wanted.iter().any(|w| !w.2).then(|| FingerprintStream::new(&st.spec, false));
+        let mut full = wanted.iter().any(|w| w.2).then(|| FingerprintStream::new(&st.spec, true));
+        let mut folded = 0usize;
+        for (k, theirs, is_full) in wanted {
+            if k <= st.fp_checked {
+                continue;
+            }
+            while folded < k as usize {
+                let load = st.loads[folded];
+                if let Some(s) = lean.as_mut() {
+                    s.extend(load, None);
+                }
+                if let (Some(s), Some(d)) = (full.as_mut(), st.decisions.get(folded)) {
+                    s.extend(load, Some(d));
+                }
+                folded += 1;
+            }
+            let stream = if is_full { full } else { lean };
+            let ours = stream.expect("a stream per flavor present").value();
+            st.fp_checked = k;
+            report.fp_checks += 1;
+            self.counters.fingerprint_checks.fetch_add(1, Ordering::Relaxed);
+            if ours != theirs {
+                report.fp_mismatches += 1;
+                self.counters.fingerprint_mismatches.fetch_add(1, Ordering::Relaxed);
+                let detail = format!(
+                    "state fingerprint at k={k} is {ours:016x}, primary says {theirs:016x}"
+                );
+                self.quarantine(st, name, QuarantineReason::Divergence, detail.clone());
+                return Err(detail);
             }
         }
         Ok(())
@@ -1375,8 +1575,8 @@ impl Daemon {
             names.sort();
             let mut reasons: Vec<(String, Json)> = Vec::new();
             for name in &names {
-                let st = lock_clean(&tenants[*name].state);
-                if let Some(q) = &st.quarantine {
+                let tenant = lock_clean(&tenants[*name].state);
+                if let Some(q) = &tenant.st.quarantine {
                     reasons.push(((*name).clone(), json::s(q.reason.as_str())));
                 }
             }
@@ -1399,7 +1599,8 @@ impl Daemon {
     fn health_line(&self) -> String {
         let (total, quarantined) = {
             let tenants = lock_clean(&self.tenants);
-            let q = tenants.values().filter(|s| lock_clean(&s.state).quarantine.is_some()).count();
+            let q =
+                tenants.values().filter(|s| lock_clean(&s.state).st.quarantine.is_some()).count();
             (tenants.len(), q)
         };
         json::obj(vec![
@@ -1424,7 +1625,8 @@ impl Daemon {
             names.sort();
             for name in names {
                 let slot = &tenants[name];
-                let st = lock_clean(&slot.state);
+                let tenant = lock_clean(&slot.state);
+                let st = &tenant.st;
                 let profile = LatencyProfile::new(st.counters.latencies.clone());
                 let (exact, coarse, hold, rung) = match st.controller.as_ref() {
                     Some(ctl) => {
@@ -1511,6 +1713,44 @@ impl Daemon {
 
 fn stringify(e: SnapshotError) -> String {
     format!("{e}")
+}
+
+/// Merge a recovered load prefix into the accepted loads: where memory
+/// already holds a seq the two must agree bit for bit; past its end the
+/// prefix extends it.
+fn merge_prefix(st: &mut TenantState, loads: &[f64], source: &str) -> Result<(), String> {
+    for (seq, &load) in loads.iter().enumerate() {
+        match st.loads.get(seq) {
+            Some(have) if have.to_bits() != load.to_bits() => {
+                return Err(format!("{source} load at seq {seq} disagrees with the WAL"));
+            }
+            Some(_) => {}
+            None => st.loads.push(load),
+        }
+    }
+    Ok(())
+}
+
+/// The committed schedule inside a format-2 snapshot's `save_run`
+/// envelope (tag, instance fingerprint, `k` configs, then state),
+/// decoded without a controller so any algorithm's prefix can seed the
+/// history log.
+fn v2_committed(inner: &[u8], k: usize, d: usize) -> Result<Vec<Config>, String> {
+    let mut dec = Decoder::from_sealed(inner).map_err(|e| describe_snapshot_error(inner, &e))?;
+    dec.take_bytes().map_err(stringify)?;
+    dec.take_u64().map_err(stringify)?;
+    if dec.take_usize().map_err(stringify)? != k {
+        return Err("snapshot committed length disagrees with its header".into());
+    }
+    let mut committed = Vec::with_capacity(k.min(1 << 20));
+    for _ in 0..k {
+        if dec.take_usize().map_err(stringify)? != d {
+            return Err("committed config has the wrong dimension".into());
+        }
+        let counts = (0..d).map(|_| dec.take_u32()).collect::<Result<Vec<u32>, _>>();
+        committed.push(Config::new(counts.map_err(stringify)?));
+    }
+    Ok(committed)
 }
 
 /// Human-readable snapshot failure, including the byte range that
@@ -1642,5 +1882,222 @@ mod tests {
         let reply = daemon.handle(reg);
         assert!(reply.contains("\"error\":\"input\""), "{reply}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The daemon's incremental per-tenant state against its from-scratch
+    /// references: the append-only instance against `prefix_instance()`,
+    /// the running fingerprint against `state_fingerprint`.
+    fn assert_live_matches_reference(daemon: &Daemon, name: &str, at: &str) {
+        let slot = lock_clean(&daemon.tenants).get(name).cloned().expect("registered");
+        let tenant = lock_clean(&slot.state);
+        let (st, live) = (&tenant.st, &tenant.live);
+        assert!(st.quarantine.is_none(), "{at}: {:?}", st.quarantine);
+        assert_eq!(st.decisions.len(), st.loads.len(), "{at}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match live.instance.as_ref() {
+            None => assert!(st.loads.is_empty(), "{at}: instance missing"),
+            Some(got) => {
+                let want = st.prefix_instance().expect("reference rebuild");
+                assert_eq!(bits(got.loads()), bits(want.loads()), "{at}");
+                assert_eq!(got.max_counts(), want.max_counts(), "{at}");
+                assert_eq!(got.num_types(), want.num_types(), "{at}");
+            }
+        }
+        let decisions = live.fp.full().then_some(st.decisions.as_slice());
+        let want = crate::replication::state_fingerprint(&st.spec, &st.loads, decisions);
+        assert_eq!(live.fp.value(), want, "{at}: running fingerprint");
+        for f in &st.fingerprints {
+            let k = f.k as usize;
+            let decisions = f.full.then(|| &st.decisions[..k]);
+            let want = crate::replication::state_fingerprint(&st.spec, &st.loads[..k], decisions);
+            assert_eq!(f.fp, want, "{at}: ring entry at k={k}");
+        }
+    }
+
+    fn tick(daemon: &Daemon, name: &str, seq: usize, load: f64) -> Vec<u64> {
+        let line = format!(r#"{{"op":"tick","tenant":"{name}","seq":{seq},"load":{load}}}"#);
+        decided_counts(&daemon.handle(&line))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// Register → ticks → kill → restart → ticks → revive → ticks,
+        /// in both fingerprint flavors, with random snapshot cadences
+        /// and segment sizes: at every `k` the append-only instance
+        /// equals the rebuilt prefix instance and the running
+        /// fingerprint equals the from-scratch one, and the served
+        /// decisions equal an uninterrupted run's.
+        #[test]
+        fn incremental_state_matches_references_across_the_lifecycle(
+            loads in proptest::collection::vec(0.0..5.5_f64, 6..40),
+            kill_frac in 0.0..1.0_f64,
+            cadence in 1usize..6,
+            segment in 0usize..3,
+            lean in 0usize..2,
+        ) {
+            let case = format!("{}-{cadence}-{segment}-{lean}", loads.len());
+            let deadline = if lean == 1 { r#","deadline_us":60000000"# } else { "" };
+            let reg = format!(
+                r#"{{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","snapshot_every":{cadence}{deadline}}}"#
+            );
+            let base_dir = tmp_dir(&format!("live-base-{case}"));
+            let baseline = Daemon::new(options(&base_dir)).unwrap();
+            assert!(baseline.handle(&reg).contains("\"ok\":true"));
+            let want: Vec<Vec<u64>> =
+                loads.iter().enumerate().map(|(i, &l)| tick(&baseline, "t", i, l)).collect();
+
+            let dir = tmp_dir(&format!("live-{case}"));
+            let opts = ServeOptions {
+                segment_bytes: [0, 1, 120][segment],
+                fingerprint_every: 2,
+                ..options(&dir)
+            };
+            let kill_at = 1 + (kill_frac * (loads.len() - 2) as f64) as usize;
+            let revive_at = (kill_at + loads.len()) / 2;
+            let daemon = Daemon::new(opts.clone()).unwrap();
+            assert!(daemon.handle(&reg).contains("\"ok\":true"));
+            for (i, &l) in loads[..kill_at].iter().enumerate() {
+                assert_eq!(tick(&daemon, "t", i, l), want[i]);
+                assert_live_matches_reference(&daemon, "t", &format!("{case} live k={}", i + 1));
+            }
+            drop(daemon); // kill -9
+            let daemon = Daemon::new(opts).unwrap();
+            assert_live_matches_reference(&daemon, "t", &format!("{case} recovered"));
+            for (i, &l) in loads.iter().enumerate().take(revive_at).skip(kill_at) {
+                assert_eq!(tick(&daemon, "t", i, l), want[i]);
+                assert_live_matches_reference(&daemon, "t", &format!("{case} resumed k={}", i + 1));
+            }
+            {
+                let slot = lock_clean(&daemon.tenants).get("t").cloned().unwrap();
+                let mut tenant = lock_clean(&slot.state);
+                let Tenant { st, live } = &mut *tenant;
+                daemon.revive(st, live, "t", &[]).expect("revive from local state");
+            }
+            assert_live_matches_reference(&daemon, "t", &format!("{case} revived"));
+            for (i, &l) in loads.iter().enumerate().skip(revive_at) {
+                assert_eq!(tick(&daemon, "t", i, l), want[i]);
+                assert_live_matches_reference(&daemon, "t", &format!("{case} after k={}", i + 1));
+            }
+            drop(daemon);
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&base_dir);
+        }
+    }
+
+    /// The snapshot carries the resumable core only: one Algorithm B
+    /// tenant's `.snap` is the same size at 160 ticks as at 4000, and
+    /// the history log grows by the ticks in between.
+    #[test]
+    fn snapshot_size_does_not_depend_on_depth() {
+        let dir = tmp_dir("snap-size");
+        let daemon = Daemon::new(options(&dir)).unwrap();
+        let reg = r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b"}"#;
+        assert!(daemon.handle(reg).contains("\"ok\":true"));
+        let load = |i: usize| 0.4 + 4.2 * (i % 96) as f64 / 96.0;
+        let snap = wal::snap_path(&dir, "t");
+        let hist = history::hist_path(&dir, "t");
+        let mut sizes = Vec::new();
+        for i in 0..4000 {
+            tick(&daemon, "t", i, load(i));
+            if i + 1 == 160 || i + 1 == 4000 {
+                let len = |p: &std::path::Path| std::fs::metadata(p).unwrap().len();
+                sizes.push((len(&snap), len(&hist)));
+            }
+        }
+        assert_eq!(sizes[0].0, sizes[1].0, "snapshot bytes at k=160 vs k=4000");
+        assert!(sizes[1].1 > 20 * sizes[0].1, "history grows with depth: {sizes:?}");
+        drop(daemon);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The history log against the core and the WAL, under the three
+    /// ways they can disagree after a crash or at-rest damage.
+    #[test]
+    fn history_log_recovers_what_the_core_and_wal_do_not_hold() {
+        let reg =
+            r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","snapshot_every":3}"#;
+        let load = |i: usize| 0.5 + (i % 7) as f64 * 0.7;
+        let n = 24;
+        let base_dir = tmp_dir("hist-base");
+        let baseline = Daemon::new(options(&base_dir)).unwrap();
+        assert!(baseline.handle(reg).contains("\"ok\":true"));
+        let want: Vec<Vec<u64>> = (0..n).map(|i| tick(&baseline, "t", i, load(i))).collect();
+        let replay_all = |daemon: &Daemon, upto: usize, case: &str| {
+            for (i, expected) in want.iter().enumerate().take(upto) {
+                assert_eq!(&tick(daemon, "t", i, load(i)), expected, "{case} seq {i}");
+            }
+        };
+        // Every tick seals a segment, every snapshot compacts: the WAL
+        // alone never reaches back to seq 0.
+        let opts = |dir: &std::path::Path| ServeOptions { segment_bytes: 1, ..options(dir) };
+
+        // 1. A crash between the history append and the core rename:
+        //    the history runs past the core, whose decisions are cut.
+        let dir = tmp_dir("hist-past-core");
+        let daemon = Daemon::new(opts(&dir)).unwrap();
+        assert!(daemon.handle(reg).contains("\"ok\":true"));
+        let snap = wal::snap_path(&dir, "t");
+        let mut old_core = Vec::new();
+        for i in 0..18 {
+            tick(&daemon, "t", i, load(i));
+            if i + 1 == 9 {
+                old_core = std::fs::read(&snap).unwrap();
+            }
+        }
+        drop(daemon);
+        std::fs::write(&snap, &old_core).unwrap();
+        for round in 0..2 {
+            let daemon = Daemon::new(opts(&dir)).unwrap();
+            assert_eq!(daemon.counters.snapshot_fallbacks.load(Ordering::Relaxed), 0);
+            assert!(daemon.handle("GET /health").contains("\"quarantined\":0"));
+            replay_all(&daemon, n, &format!("past-core round {round}"));
+            assert_live_matches_reference(&daemon, "t", "past-core");
+        }
+
+        // 2. No core at all, WAL compacted: a full replay of the history.
+        let dir = tmp_dir("hist-no-core");
+        let daemon = Daemon::new(opts(&dir)).unwrap();
+        assert!(daemon.handle(reg).contains("\"ok\":true"));
+        replay_all(&daemon, 20, "no-core first life");
+        drop(daemon);
+        std::fs::remove_file(wal::snap_path(&dir, "t")).unwrap();
+        let daemon = Daemon::new(opts(&dir)).unwrap();
+        assert!(daemon.handle("GET /health").contains("\"quarantined\":0"));
+        replay_all(&daemon, n, "no-core");
+
+        // 3. A torn history tail is cut and the WAL supplies the rest; a
+        //    flipped bit is corruption, and with the WAL compacted it
+        //    quarantines instead of serving a shorter history.
+        let dir = tmp_dir("hist-damage");
+        let daemon = Daemon::new(ServeOptions { segment_bytes: 0, ..options(&dir) }).unwrap();
+        assert!(daemon.handle(reg).contains("\"ok\":true"));
+        replay_all(&daemon, 20, "damage first life");
+        drop(daemon);
+        let hist = history::hist_path(&dir, "t");
+        let bytes = std::fs::read(&hist).unwrap();
+        std::fs::write(&hist, &bytes[..bytes.len() - 5]).unwrap();
+        let daemon = Daemon::new(ServeOptions { segment_bytes: 0, ..options(&dir) }).unwrap();
+        assert!(daemon.handle("GET /health").contains("\"quarantined\":0"));
+        replay_all(&daemon, n, "torn history");
+        drop(daemon);
+
+        let dir = tmp_dir("hist-flip");
+        let daemon = Daemon::new(opts(&dir)).unwrap();
+        assert!(daemon.handle(reg).contains("\"ok\":true"));
+        replay_all(&daemon, 20, "flip first life");
+        drop(daemon);
+        let hist = history::hist_path(&dir, "t");
+        let mut bytes = std::fs::read(&hist).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x08;
+        std::fs::write(&hist, &bytes).unwrap();
+        let daemon = Daemon::new(opts(&dir)).unwrap();
+        let ready = daemon.handle("GET /readyz");
+        assert!(ready.contains(r#""t":"wal_corrupt""#), "{ready}");
+        drop(daemon);
+        for tag in ["hist-base", "hist-past-core", "hist-no-core", "hist-damage", "hist-flip"] {
+            let _ = std::fs::remove_dir_all(tmp_dir(tag));
+        }
     }
 }

@@ -41,6 +41,7 @@
 
 pub mod client;
 pub mod daemon;
+pub mod history;
 pub mod json;
 pub mod protocol;
 pub mod replication;

@@ -11,13 +11,18 @@
 //! answers with the missing frames, its latest durable-snapshot
 //! coverage (`snap_k`), and a ring of periodic state fingerprints.
 //!
-//! **Divergence detection.** Every `fingerprint_every` accepted ticks
-//! the daemon seals its canonical committed state — spec, bit-exact
-//! loads, and (when the degradation ladder is off) committed decisions
-//! — into an `RSZSNAP` envelope and records the FNV-1a over those
-//! bytes. The replica recomputes the same fingerprint from its own
-//! state and compares; a mismatch — a bit flip, a non-deterministic
-//! code path, version skew — quarantines the tenant on the replica
+//! **Divergence detection.** The canonical committed state of a tenant
+//! is a stream — spec, then per tick the bit-exact load and (when the
+//! degradation ladder is off) the committed decision — and its
+//! fingerprint is the FNV-1a over that stream ([`FingerprintStream`]).
+//! The primary extends a running fingerprint as it accepts and decides
+//! each tick and records it every `fingerprint_every` ticks, so the
+//! ring attests the stream it accepted at `O(1)` per tick. The replica
+//! recomputes the fingerprint from scratch over its own stored prefix,
+//! once per sync and off the tick path, and compares — so corruption
+//! at rest in the replica's copy is caught as well as a divergent apply.
+//! A mismatch — a bit flip, a non-deterministic code path, version
+//! skew — quarantines the tenant on the replica
 //! with [`crate::tenant::QuarantineReason::Divergence`], so a diverged
 //! replica can be promoted but will never serve the divergent plan.
 //! Two things are deliberately *outside* the fingerprint: shared-pool
@@ -39,7 +44,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rsz_core::Config;
-use rsz_offline::{checksum, Encoder};
+use rsz_offline::Encoder;
 
 use crate::client::{Client, ClientOptions};
 use crate::daemon::Daemon;
@@ -90,35 +95,88 @@ impl Role {
     }
 }
 
-/// FNV-1a over the sealed `RSZSNAP` canonical-state bytes of one
-/// tenant at `loads.len()` accepted ticks. Pass `decisions` only when
-/// the degradation ladder is off for this tenant (see the module docs
-/// for why); both sides of a sync derive that flag the same way, so
-/// the flavors always line up.
-#[must_use]
-pub fn state_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: Option<&[Config]>) -> u64 {
-    let mut enc = Encoder::new();
-    enc.put_u8(1); // canonical-state layout version
-    spec.encode(&mut enc);
-    enc.put_usize(loads.len());
-    for &load in loads {
-        enc.put_f64(load);
+/// The running canonical-state fingerprint of one tenant: 64-bit FNV-1a
+/// over the *stream* `[layout version][flavor][spec]`, then per decided
+/// tick its load's bit pattern and — in the full flavor — its decision's
+/// counts. Because FNV-1a is a streaming hash, extending the state by
+/// one tick costs `O(d)` whatever the depth: the primary keeps one per
+/// tenant and reads its fingerprint ring off it instead of re-hashing
+/// the prefix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FingerprintStream {
+    state: u64,
+    full: bool,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Canonical-state layout version: 2 is the per-tick stream (1 hashed a
+/// sealed envelope of the whole prefix).
+const FINGERPRINT_LAYOUT: u8 = 2;
+
+impl FingerprintStream {
+    /// The state before any tick: `full` folds decisions in (see the
+    /// module docs for when it must be off).
+    #[must_use]
+    pub fn new(spec: &TenantSpec, full: bool) -> Self {
+        let mut stream = Self { state: FNV_OFFSET, full };
+        stream.fold(&[FINGERPRINT_LAYOUT, u8::from(full)]);
+        let mut enc = Encoder::new();
+        spec.encode(&mut enc);
+        stream.fold(enc.payload());
+        stream
     }
-    match decisions {
-        None => enc.put_u8(0),
-        Some(committed) => {
-            enc.put_u8(1);
-            enc.put_usize(committed.len());
-            for config in committed {
-                let counts = config.counts();
-                enc.put_usize(counts.len());
-                for &c in counts {
-                    enc.put_u32(c);
-                }
+
+    /// The stream over a whole prefix, from scratch.
+    #[must_use]
+    pub fn over(spec: &TenantSpec, loads: &[f64], decisions: Option<&[Config]>) -> Self {
+        let mut stream = Self::new(spec, decisions.is_some());
+        for (t, &load) in loads.iter().enumerate() {
+            stream.extend(load, decisions.and_then(|d| d.get(t)));
+        }
+        stream
+    }
+
+    /// Whether decisions are part of the covered state.
+    #[must_use]
+    pub fn full(&self) -> bool {
+        self.full
+    }
+
+    /// Extend by one decided tick. `decision` is ignored in the
+    /// loads-only flavor.
+    pub fn extend(&mut self, load: f64, decision: Option<&Config>) {
+        self.fold(&load.to_bits().to_le_bytes());
+        if let (true, Some(config)) = (self.full, decision) {
+            for &c in config.counts() {
+                self.fold(&c.to_le_bytes());
             }
         }
     }
-    checksum(&enc.into_sealed())
+
+    /// The fingerprint of everything folded in so far.
+    #[must_use]
+    pub fn value(&self) -> u64 {
+        self.state
+    }
+
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= u64::from(b);
+            self.state = self.state.wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+/// The canonical-state fingerprint of one tenant at `loads.len()`
+/// accepted ticks, computed from scratch — the same value a
+/// [`FingerprintStream`] extended tick by tick reaches. Pass `decisions`
+/// (one per load) only when the degradation ladder is off for this
+/// tenant (see the module docs for why); both sides of a sync derive
+/// that flag the same way, so the flavors always line up.
+#[must_use]
+pub fn state_fingerprint(spec: &TenantSpec, loads: &[f64], decisions: Option<&[Config]>) -> u64 {
+    FingerprintStream::over(spec, loads, decisions).value()
 }
 
 /// Lowercase hex of `bytes` — how WAL frames ride inside a JSON line
@@ -356,6 +414,20 @@ mod tests {
             state_fingerprint(&spec(), &loads, None)
         );
         assert_ne!(a, state_fingerprint(&spec(), &loads, None));
+    }
+
+    #[test]
+    fn running_stream_equals_the_from_scratch_fingerprint_at_every_k() {
+        let loads: Vec<f64> = (0..40).map(|i| f64::from(i % 7) * 0.75).collect();
+        let decisions: Vec<Config> = (0..40).map(|i| Config::new(vec![i % 5])).collect();
+        for full in [false, true] {
+            let mut stream = FingerprintStream::new(&spec(), full);
+            for k in 1..=loads.len() {
+                stream.extend(loads[k - 1], Some(&decisions[k - 1]));
+                let committed = full.then(|| &decisions[..k]);
+                assert_eq!(stream.value(), state_fingerprint(&spec(), &loads[..k], committed));
+            }
+        }
     }
 
     #[test]

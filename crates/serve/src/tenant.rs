@@ -128,24 +128,32 @@ pub struct TenantCounters {
     /// full WAL replay.
     pub snapshot_fallbacks: u64,
     /// Decision latencies (seconds, `LatencyProfile` convention) of
-    /// fresh decisions, most recent last, bounded.
+    /// the most recent fresh decisions, bounded. A ring: once full, the
+    /// order of the entries is not their arrival order (quantiles do
+    /// not care).
     pub latencies: Vec<f64>,
+    /// Ring slot the next latency overwrites once the window is full.
+    latency_next: usize,
 }
 
 impl TenantCounters {
-    /// Record one fresh-decision latency (seconds), keeping a bounded
-    /// window.
+    /// Latencies the window keeps.
+    const LATENCY_WINDOW: usize = 4096;
+
+    /// Record one fresh-decision latency (seconds), overwriting the
+    /// oldest once the window is full — `O(1)`.
     pub fn push_latency(&mut self, seconds: f64) {
-        const WINDOW: usize = 4096;
-        if self.latencies.len() == WINDOW {
-            self.latencies.remove(0);
+        if self.latencies.len() < Self::LATENCY_WINDOW {
+            self.latencies.push(seconds);
+        } else {
+            self.latencies[self.latency_next] = seconds;
+            self.latency_next = (self.latency_next + 1) % Self::LATENCY_WINDOW;
         }
-        self.latencies.push(seconds);
     }
 }
 
-/// One periodic state fingerprint: FNV-1a over the tenant's sealed
-/// `RSZSNAP` canonical-state snapshot at `k` accepted ticks. `full`
+/// One periodic state fingerprint: the tenant's canonical-state stream
+/// hash ([`crate::replication::FingerprintStream`]) at `k` ticks. `full`
 /// records whether committed decisions were folded in (they are iff the
 /// degradation ladder was off when the fingerprint was taken — with the
 /// ladder armed, decisions depend on wall-clock timings and a faithful
@@ -154,7 +162,7 @@ impl TenantCounters {
 pub struct Fingerprint {
     /// Accepted-tick count the fingerprint covers.
     pub k: u64,
-    /// FNV-1a over the sealed canonical-state bytes.
+    /// FNV-1a over the canonical-state stream.
     pub fp: u64,
     /// Whether committed decisions are part of the covered state.
     pub full: bool,
@@ -181,8 +189,9 @@ pub struct TenantState {
     pub quarantine: Option<Quarantine>,
     /// Rolling counters.
     pub counters: TenantCounters,
-    /// Recent periodic state fingerprints, oldest first, bounded —
-    /// what a primary ships to replicas for divergence checks.
+    /// Recent periodic state fingerprints, bounded — what a primary
+    /// ships to replicas for divergence checks. A ring: read it in `k`
+    /// order through [`TenantState::fingerprint_ring`].
     pub fingerprints: Vec<Fingerprint>,
     /// Accepted ticks the newest sealed WAL segment runs through (0
     /// when the log has never rotated). Guards against sealing two
@@ -197,14 +206,36 @@ pub struct TenantState {
 }
 
 impl TenantState {
-    /// Record a periodic fingerprint, keeping a bounded ring.
+    /// Fingerprints the ring keeps.
+    const FINGERPRINT_RING: usize = 16;
+
+    /// Record a periodic fingerprint, overwriting the oldest (lowest
+    /// `k`) once the ring is full — no shifting.
     pub fn push_fingerprint(&mut self, fp: Fingerprint) {
-        const RING: usize = 16;
-        if self.fingerprints.len() == RING {
-            self.fingerprints.remove(0);
+        if self.fingerprints.len() < Self::FINGERPRINT_RING {
+            self.fingerprints.push(fp);
+        } else if let Some(oldest) = self.fingerprints.iter_mut().min_by_key(|f| f.k) {
+            *oldest = fp;
         }
-        self.fingerprints.push(fp);
     }
+
+    /// The fingerprint ring, oldest first.
+    #[must_use]
+    pub fn fingerprint_ring(&self) -> Vec<Fingerprint> {
+        let mut ring = self.fingerprints.clone();
+        ring.sort_by_key(|f| f.k);
+        ring
+    }
+}
+
+/// Build the instance over `loads` on `types` from scratch, validating
+/// every slot.
+pub(crate) fn instance_over(types: &[ServerType], loads: &[f64]) -> Result<Instance, String> {
+    Instance::builder()
+        .server_types(types.iter().cloned())
+        .loads(loads.to_vec())
+        .build()
+        .map_err(|e| format!("prefix instance invalid: {e}"))
 }
 
 impl TenantState {
@@ -226,16 +257,13 @@ impl TenantState {
         Ok(())
     }
 
-    /// The prefix instance for deciding slot `self.loads.len() - 1`:
-    /// the committed loads over this tenant's fleet. Rebuilding per
-    /// tick is the prefix-revelation discipline — the controller can
-    /// only ever see what has actually arrived.
+    /// The prefix instance for deciding slot `self.loads.len() - 1`,
+    /// rebuilt from the committed loads over this tenant's fleet — the
+    /// reference the daemon's append-only instance (extended with
+    /// [`Instance::push_load`] per accepted tick) is tested against.
+    /// Either way the controller only ever sees what has arrived.
     pub fn prefix_instance(&self) -> Result<Instance, String> {
-        Instance::builder()
-            .server_types(self.types.iter().cloned())
-            .loads(self.loads.clone())
-            .build()
-            .map_err(|e| format!("prefix instance invalid: {e}"))
+        instance_over(&self.types, &self.loads)
     }
 
     /// The degrade options this tenant's spec selects, given the daemon
@@ -287,12 +315,47 @@ mod tests {
     }
 
     #[test]
-    fn latency_window_is_bounded() {
+    fn latency_window_keeps_exactly_the_most_recent() {
         let mut c = TenantCounters::default();
         for i in 0..5000 {
             c.push_latency(f64::from(i));
         }
         assert_eq!(c.latencies.len(), 4096);
-        assert_eq!(c.latencies[0], 5000.0 - 4096.0);
+        let mut kept = c.latencies.clone();
+        kept.sort_by(f64::total_cmp);
+        let want: Vec<f64> = (5000 - 4096..5000).map(f64::from).collect();
+        assert_eq!(kept, want);
+    }
+
+    #[test]
+    fn fingerprint_ring_keeps_the_newest_in_k_order() {
+        let mut st = TenantState {
+            spec: crate::spec::TenantSpec {
+                fleet: "homogeneous:2".into(),
+                algo: "b".into(),
+                engine: true,
+                cache: false,
+                grid: crate::spec::GridSpec::Full,
+                deadline_us: None,
+                snapshot_every: 0,
+            },
+            types: Vec::new(),
+            loads: Vec::new(),
+            decisions: Vec::new(),
+            controller: None,
+            wal: None,
+            fresh_since_snapshot: 0,
+            quarantine: None,
+            counters: TenantCounters::default(),
+            fingerprints: Vec::new(),
+            last_sealed_through: 0,
+            last_snapshot_k: 0,
+            fp_checked: 0,
+        };
+        for k in 1..=40u64 {
+            st.push_fingerprint(Fingerprint { k: k * 8, fp: k, full: true });
+        }
+        let ks: Vec<u64> = st.fingerprint_ring().iter().map(|f| f.k).collect();
+        assert_eq!(ks, (25..=40u64).map(|k| k * 8).collect::<Vec<_>>());
     }
 }

@@ -29,7 +29,8 @@
 //! happens only at record boundaries, so a torn tail is legal **only**
 //! in the active segment — a short sealed segment is corruption.
 //! Sealed segments fully covered by a durable snapshot are deleted
-//! (compaction), which is what bounds the log's size.
+//! (compaction), which is what bounds the log's size: by then the
+//! history log ([`crate::history`]) holds their loads.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -116,11 +117,17 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnapshotError> {
 /// Frame one record: length, payload, checksum.
 #[must_use]
 pub fn frame(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
+    frame_payload(&encode_payload(record))
+}
+
+/// Frame an encoded payload: the `[len][payload][FNV-1a]` framing every
+/// log in the state directory shares (WAL records and the history log's
+/// delta records).
+pub(crate) fn frame_payload(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + payload.len() + 8);
     out.extend_from_slice(&u32::try_from(payload.len()).expect("record fits u32").to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
     out
 }
 
@@ -129,56 +136,52 @@ pub fn frame(record: &WalRecord) -> Vec<u8> {
 /// the intact prefix are always returned.
 #[must_use]
 pub fn scan(bytes: &[u8]) -> WalScan {
+    let (records, intact_len, tail) = scan_with(bytes, decode_payload);
+    WalScan { records, intact_len, tail }
+}
+
+/// Scan framed payloads, decoding each with `decode`: the records of
+/// the intact prefix, its length, and how the image ended. A payload
+/// that passes its checksum but does not decode is corruption.
+pub(crate) fn scan_with<T>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, SnapshotError>,
+) -> (Vec<T>, usize, WalTail) {
     let mut records = Vec::new();
     let mut at = 0usize;
     loop {
         if at == bytes.len() {
-            return WalScan { records, intact_len: at, tail: WalTail::Clean };
+            return (records, at, WalTail::Clean);
         }
         let rest = &bytes[at..];
         if rest.len() < 4 {
-            return WalScan { records, intact_len: at, tail: WalTail::Torn { at } };
+            return (records, at, WalTail::Torn { at });
         }
         let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
         if len > MAX_RECORD {
-            return WalScan {
-                records,
-                intact_len: at,
-                tail: WalTail::Corrupt { start: at, end: at + 4, what: "impossible record length" },
-            };
+            let tail =
+                WalTail::Corrupt { start: at, end: at + 4, what: "impossible record length" };
+            return (records, at, tail);
         }
         let framed = 4 + len + 8;
         if rest.len() < framed {
-            return WalScan { records, intact_len: at, tail: WalTail::Torn { at } };
+            return (records, at, WalTail::Torn { at });
         }
         let payload = &rest[4..4 + len];
         let stored = u64::from_le_bytes(rest[4 + len..framed].try_into().expect("8 bytes"));
-        if checksum(payload) != stored {
-            return WalScan {
-                records,
-                intact_len: at,
-                tail: WalTail::Corrupt {
-                    start: at + 4,
-                    end: at + 4 + len,
-                    what: "record failed its FNV-1a check",
-                },
-            };
-        }
-        match decode_payload(payload) {
-            Ok(record) => records.push(record),
-            Err(_) => {
-                return WalScan {
-                    records,
-                    intact_len: at,
-                    tail: WalTail::Corrupt {
-                        start: at + 4,
-                        end: at + 4 + len,
-                        what: "record checksum ok but contents undecodable",
-                    },
+        let what = if checksum(payload) != stored {
+            "record failed its FNV-1a check"
+        } else {
+            match decode(payload) {
+                Ok(record) => {
+                    records.push(record);
+                    at += framed;
+                    continue;
                 }
+                Err(_) => "record checksum ok but contents undecodable",
             }
-        }
-        at += framed;
+        };
+        return (records, at, WalTail::Corrupt { start: at + 4, end: at + 4 + len, what });
     }
 }
 
