@@ -1,8 +1,9 @@
 //! `dp_pipeline` — end-to-end offline-solve benchmark of the
 //! slot-batched pricing pipeline (warm-started KKT row sweeps +
 //! time-independent slot de-duplication + checkpointed backtracking)
-//! against the PR-2 cached baseline (legacy per-slot DP over a
-//! [`CachedDispatcher`]).
+//! against the cached per-cell baseline: the reference recurrence
+//! ([`forward_tables`] + [`backtrack`], one dispatch solve per cell)
+//! over a [`CachedDispatcher`].
 //!
 //! Scenarios: the reference tiled-diurnal workload (d = 2,
 //! m = (40, 40), T = 2000), a bursty MMPP trace with few exact load
@@ -21,7 +22,7 @@ use std::time::Instant;
 
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::{CachedDispatcher, Dispatcher};
-use rsz_offline::dp::{solve, solve_with_stats, DpOptions};
+use rsz_offline::dp::{backtrack, forward_tables, solve_with_stats, DpOptions};
 use rsz_offline::pipeline::RecoveryStats;
 use rsz_workloads::{patterns, stochastic};
 
@@ -140,25 +141,20 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for sc in &all {
         let inst = &sc.instance;
-        // The baseline pins RecoveryMode::Materialized: that is exactly
-        // the PR-2 code path (one forward pass over all tables, no
+        // The baseline materializes every table (one forward pass, no
         // checkpoint replay), so the comparison does not credit the
-        // pipeline for replay work the old solver never performed.
-        let legacy_opts = DpOptions {
-            parallel: false,
-            recovery: rsz_offline::RecoveryMode::Materialized,
-            ..DpOptions::default()
-        };
-        let pipeline_opts = DpOptions::pipelined();
+        // pipeline for replay work the per-cell solve never performs.
+        let reference_opts = DpOptions { parallel: false, ..DpOptions::default() };
+        let pipeline_opts = DpOptions::default();
 
         // Warm-up (page in code paths), then timed runs.
-        let _ = solve(inst, &Dispatcher::new(), legacy_opts);
+        let _ = forward_tables(inst, &Dispatcher::new(), reference_opts);
 
-        // PR-2 baseline: legacy per-slot DP over a fresh g_t cache per
-        // iteration (the measured win there was intra-solve reuse).
+        // Baseline: the per-cell recurrence over a fresh g_t cache per
+        // iteration (the cache's win is intra-solve reuse).
         let baseline = time_best(iterations, || {
             let cache = CachedDispatcher::new(inst);
-            let res = solve(inst, &cache, legacy_opts);
+            let res = backtrack(inst, &forward_tables(inst, &cache, reference_opts));
             (res.cost, res.schedule)
         });
 
@@ -204,8 +200,7 @@ fn main() {
         assert!(schedules_equal, "{}: pipeline recovered a different schedule", sc.name);
         // Performance gates: reference workload ≥ 2×, and the pure
         // time-dependent scenario must never lose to the cached
-        // baseline (RecoveryMode::Auto materializes the non-poolable
-        // corner instead of paying the replay) — full mode only.
+        // baseline, replay included — full mode only.
         if sc.gated && !quick {
             assert!(
                 speedup >= 2.0,

@@ -132,13 +132,13 @@ fn main() {
     for sc in &all {
         let inst = &sc.instance;
         // Baseline: the PR-3 slot-batched pipeline, unrestricted grid.
-        let pipeline_opts = DpOptions::pipelined();
+        let pipeline_opts = DpOptions::default();
         // This PR: the same pipeline under the corridor solver.
         let refine_opts =
-            DpOptions { refine: Some(RefineOptions::exact()), ..DpOptions::pipelined() };
+            DpOptions { refine: Some(RefineOptions::exact()), ..DpOptions::default() };
 
         // Warm-up (page in code paths), then timed runs.
-        let _ = solve(inst, &Dispatcher::new(), DpOptions::pipelined());
+        let _ = solve(inst, &Dispatcher::new(), DpOptions::default());
 
         let baseline = time_best(iterations, || {
             let res = solve(inst, &Dispatcher::new(), pipeline_opts);

@@ -1,35 +1,36 @@
-//! `online_engine` — whole-run benchmark of the online decision engine
+//! `online_engine` — whole-run benchmark of the online decision path
 //! (allocation-free prefix stepping + dense priced-slot reuse + sub-slot
-//! replay) against the PR-3 online path (per-cell pricing through the
-//! same oracles, fresh tables per step).
+//! replay): per-run wall clock, per-decision latency percentiles and the
+//! priced-slot pool's counters.
 //!
 //! Scenarios:
 //!
 //! * **Algorithm C, time-varying costs** (the reference): electricity
 //!   prices make every slot's `g_t` unique, and the idle/switching ratio
 //!   pushes the sub-slot refinement to `ñ_t ≈ 8` — exactly where the
-//!   engine's per-slot pool collapses `ñ_t` full-grid pricings into one.
-//!   Gated at ≥ 3× in *every* mode (the speedup is structural, not
-//!   wall-clock-noise-sized).
+//!   per-slot pool collapses `ñ_t` full-grid pricings into one. Gated on
+//!   pricing each original slot exactly once and on the sub-slot replay
+//!   hitting the pool.
 //! * **Algorithm A, tiled diurnal** (d = 2, time-independent): recurring
-//!   λ values make later days pure pool hits. Gated at ≥ 1.5× in full
-//!   mode.
-//! * **Algorithm C, d = 3 diurnal** (time-independent): engine behaviour
-//!   on a wider fleet, ungated.
+//!   λ values make later days pure pool hits. Gated on pool hits
+//!   outnumbering pricings.
+//! * **Algorithm C, d = 3 diurnal** (time-independent): a wider fleet,
+//!   ungated.
 //!
-//! Every scenario gates on *identical schedules* between engine-on and
-//! engine-off, and on Algorithm C pricing each original slot exactly
-//! once. Results land in `results/online_engine.json` and, as the
-//! trajectory record the CI uploads, `BENCH_online.json`.
+//! Decisions are pinned against the per-cell solve path by the
+//! workspace's `tests/decision_fixture.rs`. Results land in
+//! `results/online_engine.json` and, as the trajectory record the CI
+//! uploads, `BENCH_online.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
+use rsz_offline::EngineStats;
 use rsz_online::algo_a::{AOptions, AlgorithmA};
 use rsz_online::algo_c::{AlgorithmC, COptions};
-use rsz_online::runner::{run_instrumented, LatencyProfile, OnlineAlgorithm, OnlineRun};
+use rsz_online::runner::{run_instrumented, LatencyProfile, OnlineAlgorithm};
 use rsz_workloads::patterns;
 
 fn tiled_diurnal(horizon: usize, base: f64, amplitude: f64) -> Vec<f64> {
@@ -95,7 +96,6 @@ fn c_d3_diurnal(quick: bool) -> Instance {
 }
 
 struct Timed {
-    run: OnlineRun,
     profile: LatencyProfile,
     secs: f64,
 }
@@ -104,7 +104,7 @@ struct Timed {
 /// best wall clock (fresh controller per iteration — online state must
 /// not leak across runs). The controller of the *last* iteration is
 /// handed to `inspect` so callers can pull engine counters off the
-/// concrete type; the run/profile also come from that iteration (every
+/// concrete type; the latency profile also comes from that iteration (every
 /// iteration is deterministic, only the clock varies).
 fn time_runs<A: OnlineAlgorithm>(
     instance: &Instance,
@@ -118,153 +118,84 @@ fn time_runs<A: OnlineAlgorithm>(
     for _ in 0..iterations {
         let mut algo = build();
         let start = Instant::now();
-        let (run, profile) = run_instrumented(instance, &mut algo, &oracle);
+        let (_, profile) = run_instrumented(instance, &mut algo, &oracle);
         best = best.min(start.elapsed().as_secs_f64());
         inspect(&algo);
-        out = Some((run, profile));
+        out = Some(profile);
     }
-    let (run, profile) = out.expect("at least one iteration");
-    Timed { run, profile, secs: best }
+    let profile = out.expect("at least one iteration");
+    Timed { profile, secs: best }
 }
 
 struct Row {
     name: &'static str,
     d: usize,
     horizon: usize,
-    baseline_ms: f64,
-    engine_ms: f64,
-    speedup: f64,
-    schedules_equal: bool,
-    engine_p50_us: f64,
-    engine_p99_us: f64,
-    baseline_p50_us: f64,
+    run_ms: f64,
+    p50_us: f64,
+    p99_us: f64,
     pricings: u64,
     pool_hits: u64,
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    // Best-of-3 in quick mode too: the quick workloads are tiny
-    // (~100 ms total) and the ≥3× gate below must not be failable by a
-    // single scheduler stall on a shared CI runner.
     let iterations = 3;
 
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- Algorithm C, time-varying reference (gated ≥ 3×, all modes) ---
+    // --- Algorithm C, time-varying reference ---
     {
         let inst = c_reference(quick);
         let opts = COptions { epsilon: 0.25, ..Default::default() };
-        let baseline = time_runs(
+        let mut stats = None;
+        let timed = time_runs(
             &inst,
             iterations,
             || AlgorithmC::new(&inst, Dispatcher::new(), opts),
-            |_| (),
+            |c| stats = Some(c.engine_stats()),
         );
-        let engine_opts = COptions { base: AOptions::engined(), ..opts };
-        let mut stats = None;
-        let engine = time_runs(
-            &inst,
-            iterations,
-            || AlgorithmC::new(&inst, Dispatcher::new(), engine_opts),
-            |c| stats = c.engine_stats(),
-        );
-        let stats = stats.expect("engine on");
+        let stats = stats.expect("ran at least once");
         assert_eq!(
             stats.pricings,
             inst.horizon() as u64,
             "Algorithm C must price each original slot exactly once"
         );
         assert!(stats.pool_hits > 0, "sub-slot replay must hit the pool");
-        rows.push(report(
-            "algo_c_time_varying",
-            &inst,
-            &baseline,
-            &engine,
-            stats.pricings,
-            stats.pool_hits,
-        ));
+        rows.push(report("algo_c_time_varying", &inst, &timed, stats));
     }
 
-    // --- Algorithm A, tiled diurnal (gated ≥ 1.5×, full mode) ---
+    // --- Algorithm A, tiled diurnal ---
     {
         let inst = a_diurnal(quick);
-        let baseline = time_runs(
+        let mut stats = None;
+        let timed = time_runs(
             &inst,
             iterations,
             || AlgorithmA::new(&inst, Dispatcher::new(), AOptions::default()),
-            |_| (),
+            |a| stats = Some(a.engine_stats()),
         );
-        let mut stats = None;
-        let engine = time_runs(
-            &inst,
-            iterations,
-            || AlgorithmA::new(&inst, Dispatcher::new(), AOptions::engined()),
-            |a| stats = a.engine_stats(),
-        );
-        let stats = stats.expect("engine on");
+        let stats = stats.expect("ran at least once");
         assert!(
             stats.pool_hits > stats.pricings,
             "tiled days must be answered from the pool: {stats:?}"
         );
-        rows.push(report(
-            "algo_a_diurnal",
-            &inst,
-            &baseline,
-            &engine,
-            stats.pricings,
-            stats.pool_hits,
-        ));
+        rows.push(report("algo_a_diurnal", &inst, &timed, stats));
     }
 
     // --- Algorithm C, d = 3 time-independent (ungated) ---
     {
         let inst = c_d3_diurnal(quick);
         let opts = COptions { epsilon: 0.5, ..Default::default() };
-        let baseline = time_runs(
+        let mut stats = None;
+        let timed = time_runs(
             &inst,
             iterations,
             || AlgorithmC::new(&inst, Dispatcher::new(), opts),
-            |_| (),
+            |c| stats = Some(c.engine_stats()),
         );
-        let engine_opts = COptions { base: AOptions::engined(), ..opts };
-        let mut stats = None;
-        let engine = time_runs(
-            &inst,
-            iterations,
-            || AlgorithmC::new(&inst, Dispatcher::new(), engine_opts),
-            |c| stats = c.engine_stats(),
-        );
-        let stats = stats.expect("engine on");
-        rows.push(report(
-            "algo_c_d3_diurnal",
-            &inst,
-            &baseline,
-            &engine,
-            stats.pricings,
-            stats.pool_hits,
-        ));
-    }
-
-    // Gates: identical schedules always; reference speedups per mode.
-    for r in &rows {
-        assert!(r.schedules_equal, "{}: engine changed the schedule", r.name);
-    }
-    let c_ref = rows.iter().find(|r| r.name == "algo_c_time_varying").expect("reference ran");
-    assert!(
-        c_ref.speedup >= 3.0,
-        "algo_c_time_varying: engine speedup {:.2}x below the 3x gate",
-        c_ref.speedup
-    );
-    let a_ref = rows.iter().find(|r| r.name == "algo_a_diurnal").expect("diurnal ran");
-    if !quick {
-        assert!(
-            a_ref.speedup >= 1.5,
-            "algo_a_diurnal: engine speedup {:.2}x below the 1.5x gate",
-            a_ref.speedup
-        );
+        rows.push(report("algo_c_d3_diurnal", &inst, &timed, stats.expect("ran at least once")));
     }
 
     let timestamp = std::time::SystemTime::now()
@@ -274,25 +205,20 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             runs,
-            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"baseline_ms\": {:.3},\n      \"engine_ms\": {:.3},\n      \"speedup\": {:.3},\n      \"schedules_equal\": {},\n      \"baseline_p50_us\": {:.2},\n      \"engine_p50_us\": {:.2},\n      \"engine_p99_us\": {:.2},\n      \"pricings\": {},\n      \"pool_hits\": {}\n    }}{}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"d\": {},\n      \"horizon\": {},\n      \"run_ms\": {:.3},\n      \"decide_p50_us\": {:.2},\n      \"decide_p99_us\": {:.2},\n      \"pricings\": {},\n      \"pool_hits\": {}\n    }}{}",
             r.name,
             r.d,
             r.horizon,
-            r.baseline_ms,
-            r.engine_ms,
-            r.speedup,
-            r.schedules_equal,
-            r.baseline_p50_us,
-            r.engine_p50_us,
-            r.engine_p99_us,
+            r.run_ms,
+            r.p50_us,
+            r.p99_us,
             r.pricings,
             r.pool_hits,
             if i + 1 < rows.len() { ",\n" } else { "\n" },
         );
     }
     let json = format!(
-        "{{\n  \"bench\": \"online_engine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"c_reference_speedup\": {:.3},\n  \"a_diurnal_speedup\": {:.3},\n  \"runs\": [\n{runs}  ]\n}}\n",
-        c_ref.speedup, a_ref.speedup,
+        "{{\n  \"bench\": \"online_engine\",\n  \"quick\": {quick},\n  \"timestamp\": {timestamp},\n  \"runs\": [\n{runs}  ]\n}}\n",
     );
 
     // `cargo bench` sets the cwd to crates/bench; resolve the workspace
@@ -317,35 +243,22 @@ fn main() {
     }
 }
 
-fn report(
-    name: &'static str,
-    inst: &Instance,
-    baseline: &Timed,
-    engine: &Timed,
-    pricings: u64,
-    pool_hits: u64,
-) -> Row {
-    let speedup = baseline.secs / engine.secs;
-    let schedules_equal = baseline.run.schedule == engine.run.schedule;
-    let (bp50, ..) = baseline.profile.summary_us();
-    let (ep50, _, ep99, _, _) = engine.profile.summary_us();
+fn report(name: &'static str, inst: &Instance, timed: &Timed, stats: EngineStats) -> Row {
+    let (p50, _, p99, _, _) = timed.profile.summary_us();
     println!(
-        "bench: online_engine/{name:<22} {:>9.2} ms -> {:>9.2} ms  ({speedup:>5.2}x, p50 {bp50:.0} -> {ep50:.0} µs, {pricings} pricings / {pool_hits} hits)",
-        baseline.secs * 1e3,
-        engine.secs * 1e3,
+        "bench: online_engine/{name:<22} {:>9.2} ms  (p50 {p50:.0} µs, p99 {p99:.0} µs, {} pricings / {} hits)",
+        timed.secs * 1e3,
+        stats.pricings,
+        stats.pool_hits,
     );
     Row {
         name,
         d: inst.num_types(),
         horizon: inst.horizon(),
-        baseline_ms: baseline.secs * 1e3,
-        engine_ms: engine.secs * 1e3,
-        speedup,
-        schedules_equal,
-        engine_p50_us: ep50,
-        engine_p99_us: ep99,
-        baseline_p50_us: bp50,
-        pricings,
-        pool_hits,
+        run_ms: timed.secs * 1e3,
+        p50_us: p50,
+        p99_us: p99,
+        pricings: stats.pricings,
+        pool_hits: stats.pool_hits,
     }
 }

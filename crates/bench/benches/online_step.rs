@@ -139,16 +139,6 @@ fn bench_online(c: &mut Criterion) {
                 },
             );
         }
-        group.bench_with_input(BenchmarkId::new("algo_c_d3_engine_eps_0.25", m), &m, |b, _| {
-            b.iter(|| {
-                let mut a = AlgorithmC::new(
-                    &td3,
-                    oracle,
-                    COptions { epsilon: 0.25, base: AOptions::engined(), ..Default::default() },
-                );
-                black_box(drive(&mut a, &td3))
-            })
-        });
     }
     group.finish();
 }

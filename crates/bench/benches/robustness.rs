@@ -84,14 +84,14 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
     // Baseline: uninterrupted engine run.
-    let mut base_algo = algo(&inst, AOptions::engined());
+    let mut base_algo = algo(&inst, AOptions::default());
     let clock = Instant::now();
     let baseline = run(&inst, &mut base_algo, &oracle);
     let baseline_secs = clock.elapsed().as_secs_f64();
 
     // --- snapshot_overhead ---
     let mut snaps: Vec<Vec<u8>> = Vec::new();
-    let mut snap_algo = algo(&inst, AOptions::engined());
+    let mut snap_algo = algo(&inst, AOptions::default());
     let clock = Instant::now();
     let (snapped, _) =
         run_checkpointed(&inst, &mut snap_algo, &oracle, None, Some(8), |b| snaps.push(b.to_vec()))
@@ -114,7 +114,7 @@ fn main() {
 
     // --- restart_resume: restore from the mid-horizon snapshot ---
     let mid = snaps[snaps.len() / 2].clone();
-    let mut resumed_algo = algo(&inst, AOptions::engined());
+    let mut resumed_algo = algo(&inst, AOptions::default());
     let clock = Instant::now();
     let committed =
         restore_run(&mut resumed_algo, &inst, &mid).expect("mid-horizon snapshot restores");
@@ -165,7 +165,7 @@ fn main() {
     });
 
     // --- eviction_storm: capacity-1 pool vs the default pool ---
-    let mut storm_algo = algo(&inst, AOptions { pool_capacity: Some(1), ..AOptions::engined() });
+    let mut storm_algo = algo(&inst, AOptions { pool_capacity: Some(1), ..AOptions::default() });
     let clock = Instant::now();
     let stormy = run(&inst, &mut storm_algo, &oracle);
     let storm_secs = clock.elapsed().as_secs_f64();

@@ -88,7 +88,7 @@ fn main() {
     let clock = Instant::now();
     for i in 0..tenants {
         let reply = daemon.handle(&format!(
-            r#"{{"op":"register","tenant":"t{i}","fleet":"{}","algo":"b","engine":true}}"#,
+            r#"{{"op":"register","tenant":"t{i}","fleet":"{}","algo":"b"}}"#,
             FLEETS[i % FLEETS.len()],
         ));
         assert!(reply.contains("\"ok\":true"), "register t{i}: {reply}");
@@ -197,9 +197,8 @@ fn main() {
             Arc::clone(&replica),
             ReplicaOptions { replica_id: "bench".into(), lease_failures: 3 },
         );
-        let reply = primary.handle(
-            r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","engine":true}"#,
-        );
+        let reply =
+            primary.handle(r#"{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b"}"#);
         assert!(reply.contains("\"ok\":true"), "trial {trial}: {reply}");
         let trace = loads(trial, fo_horizon);
         let expect: Vec<Vec<u64>> = (0..fo_horizon)
@@ -254,7 +253,7 @@ fn main() {
     let mut replicator = Replicator::new(Arc::clone(&replica), ReplicaOptions::default());
     for i in 0..flipped {
         let reply = primary.handle(&format!(
-            r#"{{"op":"register","tenant":"d{i}","fleet":"cpu-gpu:2,1","algo":"b","engine":true}}"#
+            r#"{{"op":"register","tenant":"d{i}","fleet":"cpu-gpu:2,1","algo":"b"}}"#
         ));
         assert!(reply.contains("\"ok\":true"), "register d{i}: {reply}");
     }

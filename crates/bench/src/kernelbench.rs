@@ -67,7 +67,7 @@ pub fn measure(instance: &Instance, warm: usize, timed: usize, iterations: usize
     let run_mode = |scalar: bool| -> (f64, Vec<rsz_core::Config>, u64) {
         kernels::force_scalar(scalar);
         let oracle = Dispatcher::new();
-        let opts = DpOptions { engine: true, parallel: false, ..DpOptions::default() };
+        let opts = DpOptions { parallel: false, ..DpOptions::default() };
         let mut best = f64::INFINITY;
         let mut outcome = None;
         for _ in 0..iterations.max(1) {

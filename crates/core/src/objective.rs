@@ -57,11 +57,11 @@ pub trait GtOracle {
     }
 
     /// `true` if repeated queries for the same `(t, λ, x)` are answered
-    /// from a memo (cache hits) rather than re-solved — the property a
-    /// checkpointed solver needs to know **up front**: replaying a
-    /// segment against a memoizing oracle costs lookups, while replaying
-    /// against a plain solver re-pays the full pricing. The default is
-    /// `false` (plain solvers); memoization wrappers override it.
+    /// from a memo (cache hits) rather than re-solved: replaying a slot
+    /// against a memoizing oracle costs lookups, while replaying against
+    /// a plain solver re-pays the full pricing. Informational — callers
+    /// that schedule replays may consult it. The default is `false`
+    /// (plain solvers); memoization wrappers override it.
     fn is_memoizing(&self) -> bool {
         false
     }

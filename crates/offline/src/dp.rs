@@ -12,6 +12,15 @@
 //! [`crate::transform`] passes; the overall cost is
 //! `O(T · |grid| · d)` plus one dispatch solve per cell.
 //!
+//! [`solve`] runs the slot-batched pricing pipeline
+//! ([`crate::pipeline`]): each slot's `g_t` is priced once as a dense
+//! table (warm-started sweeps, `(λ, grid)` sharing on time-independent
+//! instances) and folded into the recurrence. [`forward_tables`],
+//! [`dp_step`] and [`backtrack`] are the literal per-cell recurrence —
+//! every cell priced through [`GtOracle::slot_eval`] — kept as the test
+//! reference next to [`crate::graph`] and [`crate::brute`]; no solver
+//! option reaches them.
+//!
 //! * With [`GridMode::Full`] this is the paper's **exact** algorithm
 //!   (optimal schedule, Section 4.1),
 //! * with [`GridMode::Gamma`] it optimizes exactly over the reduced
@@ -37,32 +46,13 @@ pub const PAR_THRESHOLD: usize = 4096;
 pub struct DpOptions {
     /// Candidate-grid discretization.
     pub grid: GridMode,
-    /// Parallelize the per-cell dispatch solves across threads.
+    /// Price slots on worker threads.
     pub parallel: bool,
-    /// Use the slot-batched pricing pipeline: `g_t` is priced for all
-    /// slots in one barrier-free pass (warm-started KKT row sweeps,
-    /// slot de-duplication for time-independent instances) before the
-    /// cheap sequential recurrence. Costs agree with the legacy per-slot
-    /// path to a relative `1e-9`, and the epsilon-tolerant tie-breaks
-    /// absorb that wobble so recovered schedules match the legacy
-    /// path's (property-tested and gated on every bench workload).
-    pub pipeline: bool,
-    /// Exact worker count for per-cell solves and the pricing pool.
+    /// Exact worker count for the pricing pass.
     /// `None` picks [`std::thread::available_parallelism`] for large
     /// tables (honouring `parallel` and [`PAR_THRESHOLD`]); `Some(n)` is
     /// used as-is, which makes thread sweeps reproducible in benches.
     pub threads: Option<usize>,
-    /// Use the online decision engine for incremental stepping: prefix
-    /// solvers ([`crate::PrefixDp`], and the receding-horizon window DP
-    /// built on the same pool) price each slot **once** as a dense
-    /// [`crate::engine::PricedSlot`] via the warm-started sweep path and
-    /// retain it in a bounded `(slot partition, λ, grid)` pool, so
-    /// recurring loads and Algorithm C's sub-slot replays fold priced
-    /// slots in with a vectorized add instead of per-cell oracle calls.
-    /// Priced values match the per-cell path to a relative `1e-9` (the
-    /// documented sweep tolerance) and recovered decisions are identical
-    /// (property-tested across algorithms, grids and caching modes).
-    pub engine: bool,
     /// How [`solve`] recovers the schedule: `√T` checkpoints + segment
     /// replay (`O(|grid|·√T)` memory, up to one extra pricing pass) vs
     /// fully materialized tables (`O(|grid|·T)` memory, single pass).
@@ -77,10 +67,14 @@ pub struct DpOptions {
     /// the unrestricted solve's (property-tested) while per-slot work
     /// scales with band volume instead of grid volume.
     pub refine: Option<crate::refine::RefineOptions>,
-    /// Retention bound of the engine's priced-slot pool. `None` uses
-    /// [`crate::engine::DEFAULT_POOL_CAP`]; an explicit bound is the
-    /// fault-injection harness's lever for eviction storms (and a memory
-    /// knob for embedders). Ignored when [`DpOptions::engine`] is off.
+    /// Retention bound of a [`crate::PrefixDp`]'s own priced-slot pool.
+    /// `None` derives it from the instance:
+    /// [`crate::engine::DEFAULT_POOL_CAP`] when costs are
+    /// time-independent (recurring loads share one partition), `1`
+    /// otherwise (each slot is its own partition, so only the slot being
+    /// stepped — Algorithm C's sub-slots included — can ever hit). An
+    /// explicit bound is the fault-injection harness's lever for
+    /// eviction storms (and a memory knob for embedders).
     pub pool_capacity: Option<usize>,
 }
 
@@ -89,18 +83,12 @@ pub struct DpOptions {
 pub enum RecoveryMode {
     /// Materialize below [`crate::pipeline::CHECKPOINT_MIN_HORIZON`]
     /// slots, checkpoint beyond — replay only kicks in where the
-    /// `O(|grid|·T)` table memory starts to matter. When **nothing**
-    /// would make the replay cheap (time-dependent costs, so the
-    /// pricing pool cannot share slots, *and* a non-memoizing oracle),
-    /// materialization extends up to
-    /// [`crate::pipeline::AUTO_MATERIALIZE_BUDGET_BYTES`] of table
-    /// memory, so checkpointing never doubles the pricing for free.
+    /// `O(|grid|·T)` table memory starts to matter.
     #[default]
     Auto,
-    /// Always keep every `OPT_t` table: one pass, maximum memory. The
-    /// pre-pipeline behaviour; pick it when the horizon fits in memory
-    /// and nothing (pricing pool, `CachedDispatcher`) would make the
-    /// replay cheap.
+    /// Always keep every `OPT_t` table: one pass, maximum memory. Pick
+    /// it when the horizon fits in memory and nothing (pricing pool,
+    /// `CachedDispatcher`) would make the replay cheap.
     Materialized,
     /// Always checkpoint, whatever the horizon.
     Checkpointed,
@@ -111,9 +99,7 @@ impl Default for DpOptions {
         Self {
             grid: GridMode::Full,
             parallel: true,
-            pipeline: false,
             threads: None,
-            engine: false,
             recovery: RecoveryMode::Auto,
             refine: None,
             pool_capacity: None,
@@ -122,27 +108,10 @@ impl Default for DpOptions {
 }
 
 impl DpOptions {
-    /// The default options with the slot-batched pipeline switched on.
-    #[must_use]
-    pub fn pipelined() -> Self {
-        Self { pipeline: true, ..Self::default() }
-    }
-
-    /// The default options with the online decision engine switched on.
-    #[must_use]
-    pub fn engined() -> Self {
-        Self { engine: true, ..Self::default() }
-    }
-
-    /// The default options with exact corridor refinement (and the
-    /// pipeline, which prices its coarse pass) switched on.
+    /// The default options with exact corridor refinement switched on.
     #[must_use]
     pub fn refined() -> Self {
-        Self {
-            pipeline: true,
-            refine: Some(crate::refine::RefineOptions::exact()),
-            ..Self::default()
-        }
+        Self { refine: Some(crate::refine::RefineOptions::exact()), ..Self::default() }
     }
 
     /// Resolve the worker count for a fill over `cells` table cells:
@@ -252,8 +221,7 @@ pub fn solve_with_stats(
     crate::pipeline::solve_checkpointed(instance, oracle, DpOptions { refine: None, ..options })
 }
 
-/// Optimal cost only, O(|grid|) memory for the legacy path and
-/// `O(|grid|·batch)` for the pipeline (no schedule recovery; the
+/// Optimal cost only, `O(|grid|·√T)` memory (no schedule recovery; the
 /// corridor solver still recovers internally — its contact check needs
 /// the trajectory).
 #[must_use]
@@ -268,9 +236,10 @@ pub fn solve_cost_only(
     crate::pipeline::cost_only(instance, oracle, options)
 }
 
-/// All per-slot `OPT_t` tables, fully materialized — `O(|grid|·T)`
-/// memory. Kept for tests and cross-checks; [`solve`] itself recovers
-/// schedules from `√T` checkpoints instead.
+/// All per-slot `OPT_t` tables of the per-cell reference recurrence,
+/// fully materialized — `O(|grid|·T)` memory. The test oracle for the
+/// pipeline and the prefix solvers; [`solve`] itself prices through
+/// [`crate::pipeline`] and recovers schedules from `√T` checkpoints.
 #[must_use]
 pub fn forward_tables(
     instance: &Instance,
@@ -287,8 +256,8 @@ pub fn forward_tables(
     tables
 }
 
-/// One DP step: arrival transform from `prev` onto slot `t`'s grid, then
-/// add `g_t`. Exposed for the incremental prefix solver.
+/// One per-cell reference DP step: arrival transform from `prev` onto
+/// slot `t`'s grid, then add `g_t` cell by cell.
 #[must_use]
 pub fn dp_step(
     prev: &Table,
@@ -301,8 +270,8 @@ pub fn dp_step(
     dp_step_scaled(prev, instance, oracle, t, instance.load(t), 1.0, betas, options)
 }
 
-/// One DP step with overridden volume and cost scale — the entry point
-/// used by Algorithm C's sub-slot refinement, where slot `t` is priced at
+/// [`dp_step`] with overridden volume and cost scale — the reference
+/// form of Algorithm C's sub-slot steps, where slot `t` is priced at
 /// `cost_scale · g_t` and carries volume `lambda`.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
@@ -324,19 +293,13 @@ pub fn dp_step_scaled(
     cur
 }
 
-/// Add the slot's operating costs to every finite cell of `table` — the
-/// per-cell pricing block shared by [`dp_step_scaled`] and the online
-/// prefix solver's engine-off path (one definition, so the two can
-/// never silently diverge).
+/// Add the slot's operating costs to every finite cell of `table`, one
+/// cold [`GtOracle::slot_eval`] solve per cell.
 ///
 /// Each worker opens its own slot context, letting the oracle hoist
 /// per-slot arm data out of the per-cell path and solve into reused
 /// scratch (and, for caching oracles, share solved cells globally).
-/// Pipeline mode prices through the oracle's *sweep* context — each
-/// worker's chunk is a contiguous layout-order run, so warm-started
-/// KKT solvers can chain brackets cell to cell.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn price_cells(
+fn price_cells(
     table: &mut crate::table::Table,
     instance: &Instance,
     oracle: &(impl GtOracle + Sync),
@@ -349,13 +312,7 @@ pub(crate) fn price_cells(
     fill_cells_with(
         table,
         threads,
-        || {
-            if options.pipeline {
-                oracle.slot_sweep(instance, t, lambda, cost_scale)
-            } else {
-                oracle.slot_eval(instance, t, lambda, cost_scale)
-            }
-        },
+        || oracle.slot_eval(instance, t, lambda, cost_scale),
         |slot, _, counts, v| {
             if v.is_finite() {
                 *v += slot.eval(counts);

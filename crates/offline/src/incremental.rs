@@ -19,36 +19,34 @@
 //! [`PrefixDp::step_counts`] touches the allocator only when pricing a
 //! slot it has never seen (asserted by a counting-allocator test).
 //!
-//! **Pricing** depends on [`DpOptions::engine`]:
-//!
-//! * engine **off** — the legacy per-cell path: every table cell is
-//!   priced through [`GtOracle::slot_eval`] (or `slot_sweep` in pipeline
-//!   mode), exactly like [`crate::dp::dp_step_scaled`];
-//! * engine **on** — the slot is priced **once** as a dense
-//!   [`crate::engine::PricedSlot`] and retained in a bounded
-//!   `(slot partition, λ, grid)` pool: recurring loads on
-//!   time-independent instances and Algorithm C's `ñ_t` sub-slot replays
-//!   of one original slot all fold the same priced table in with a
-//!   vectorized `v += scale·g` pass, no per-cell oracle calls at all.
+//! **Pricing:** each slot is priced **once** as a dense
+//! [`crate::engine::PricedSlot`] and retained in a bounded
+//! `(slot partition, λ, grid)` pool: recurring loads on
+//! time-independent instances and Algorithm C's `ñ_t` sub-slot replays
+//! of one original slot all fold the same priced table in with a
+//! vectorized `v += scale·g` pass, no per-cell oracle calls at all.
+//! [`crate::dp::dp_step_scaled`] is the per-cell reference it is tested
+//! against.
 //!
 //! **Caching:** the oracle is passed per step, so an owner that holds a
 //! `rsz_dispatch::CachedDispatcher` and passes it every step keeps one
-//! `g_t` cache alive across all slots; the engine's priced-slot pool
-//! composes with (and in steady state short-circuits ahead of) it.
+//! `g_t` cache alive across all slots; the priced-slot pool composes
+//! with (and in steady state short-circuits ahead of) it.
 
 use std::sync::Arc;
 
 use rsz_core::{Config, GtOracle, Instance};
 
-use crate::dp::{betas, price_cells, DpOptions};
+use crate::dp::{betas, DpOptions};
 use crate::engine::snapshot::{self, Decoder, Encoder, SnapshotError};
 use crate::engine::{
     add_priced, lock_shared, EngineStats, PricedSlotPool, SharedSlotPool, DEFAULT_POOL_CAP,
 };
+use crate::grid::GridMode;
 use crate::table::Table;
 use crate::transform::{arrival_transform_inplace, TransformScratch};
 
-/// The engine-mode pricing pool: owned by this solver, or a handle to
+/// The pricing pool: owned by this solver, or a handle to
 /// a pool shared with other solvers of the same instance shape (see
 /// [`SharedSlotPool`]). Decisions never depend on which variant is in
 /// use — pricing is pure — so a shared pool only changes hit-rate
@@ -59,11 +57,23 @@ enum Pool {
     Shared(SharedSlotPool),
 }
 
+/// Retention bound of an owned pool when [`DpOptions::pool_capacity`] is
+/// unset. On a time-dependent instance every slot is its own pool
+/// partition and slots arrive in order, so only the slot being stepped
+/// (Algorithm C's sub-slots included) can ever hit: one entry is enough.
+fn default_pool_capacity(instance: &Instance) -> usize {
+    if instance.is_time_independent() {
+        DEFAULT_POOL_CAP
+    } else {
+        1
+    }
+}
+
 /// Rolling prefix-DP state.
 #[derive(Clone, Debug)]
 pub struct PrefixDp {
     betas: Vec<f64>,
-    options: DpOptions,
+    grid: GridMode,
     /// The live table `OPT_t(·)`.
     table: Table,
     /// Ping-pong partner of `table` for the in-place arrival transform.
@@ -77,9 +87,9 @@ pub struct PrefixDp {
     scratch: TransformScratch,
     /// Counts of the last argmin cell ([`PrefixDp::step_counts`]).
     counts: Vec<u32>,
-    /// Priced-slot pool (engine mode only).
-    pool: Option<Pool>,
-    /// The priced slot folded in by the most recent engine-mode step.
+    /// Priced-slot pool.
+    pool: Pool,
+    /// The priced slot folded in by the most recent step.
     last_priced: Option<Arc<Table>>,
     slots_processed: usize,
 }
@@ -91,7 +101,7 @@ impl PrefixDp {
         let d = instance.num_types();
         Self {
             betas: betas(instance),
-            options,
+            grid: options.grid,
             table: Table::origin(d),
             spare: Table::origin(d),
             levels: Vec::new(),
@@ -99,12 +109,10 @@ impl PrefixDp {
             slot_invariant: !instance.has_time_varying_counts(),
             scratch: TransformScratch::new(),
             counts: Vec::with_capacity(d),
-            pool: options.engine.then(|| {
-                Pool::Owned(PricedSlotPool::with_capacity(
-                    instance,
-                    options.pool_capacity.unwrap_or(DEFAULT_POOL_CAP),
-                ))
-            }),
+            pool: Pool::Owned(PricedSlotPool::with_capacity(
+                instance,
+                options.pool_capacity.unwrap_or_else(|| default_pool_capacity(instance)),
+            )),
             last_priced: None,
             slots_processed: 0,
         }
@@ -132,41 +140,35 @@ impl PrefixDp {
         }
     }
 
-    /// The dense priced slot folded in by the most recent step, when the
-    /// engine is on: the whole grid's **unscaled** `g_t` values for the
-    /// step's `(t, λ)`. Algorithm C ranks its sub-slot states by reading
-    /// this table instead of re-querying the oracle.
+    /// The dense priced slot folded in by the most recent step (`None`
+    /// before the first one): the whole grid's **unscaled** `g_t` values
+    /// for the step's `(t, λ)`. Algorithm C ranks its sub-slot states by
+    /// reading this table instead of re-querying the oracle.
     #[must_use]
     pub fn last_priced(&self) -> Option<&Table> {
         self.last_priced.as_deref()
     }
 
-    /// Pricing counters of the engine's priced-slot pool (`None` when
-    /// the engine is off). With a shared pool installed, the counters
-    /// are the pool's — i.e. aggregated across every sharer.
+    /// Pricing counters of the priced-slot pool. With a shared pool
+    /// installed, the counters are the pool's — i.e. aggregated across
+    /// every sharer.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<EngineStats> {
-        self.pool.as_ref().map(|pool| match pool {
+    pub fn engine_stats(&self) -> EngineStats {
+        match &self.pool {
             Pool::Owned(p) => p.stats(),
             Pool::Shared(p) => lock_shared(p).stats(),
-        })
+        }
     }
 
-    /// Replace the engine's owned pricing pool with a handle to `pool`,
-    /// shared with other solvers of the same instance shape. Returns
-    /// `false` (and installs nothing) when the engine is off — sharing
-    /// only makes sense for the pooled pricing path.
+    /// Replace the owned pricing pool with a handle to `pool`, shared
+    /// with other solvers of the same instance shape.
     ///
     /// The shared pool must have been built against an instance with
     /// the same fleet shape (same `max_counts`); mismatched slots
     /// simply price without pooling, exactly like the owned path, so
     /// this is a performance contract, not a correctness one.
-    pub fn share_pool(&mut self, pool: SharedSlotPool) -> bool {
-        if self.pool.is_none() {
-            return false;
-        }
-        self.pool = Some(Pool::Shared(pool));
-        true
+    pub fn share_pool(&mut self, pool: SharedSlotPool) {
+        self.pool = Pool::Shared(pool);
     }
 
     /// Fold slot `t` of `instance` in and return `x̂^t_t`.
@@ -242,21 +244,14 @@ impl PrefixDp {
             &self.betas,
             &mut self.scratch,
         );
-        if let Some(pool) = self.pool.as_mut() {
-            let priced = match pool {
-                Pool::Owned(p) => p.get_or_price(instance, oracle, t, lambda, &self.levels),
-                Pool::Shared(p) => {
-                    lock_shared(p).get_or_price(instance, oracle, t, lambda, &self.levels)
-                }
-            };
-            add_priced(&mut self.table, &priced, cost_scale);
-            self.last_priced = Some(priced);
-        } else {
-            // Engine off: the exact per-cell pricing block of
-            // `dp_step_scaled` (shared definition — see `price_cells`).
-            price_cells(&mut self.table, instance, oracle, t, lambda, cost_scale, self.options);
-            self.last_priced = None;
-        }
+        let priced = match &mut self.pool {
+            Pool::Owned(p) => p.get_or_price(instance, oracle, t, lambda, &self.levels),
+            Pool::Shared(p) => {
+                lock_shared(p).get_or_price(instance, oracle, t, lambda, &self.levels)
+            }
+        };
+        add_priced(&mut self.table, &priced, cost_scale);
+        self.last_priced = Some(priced);
         self.slots_processed += 1;
         self.table.argmin().expect("prefix instance feasible, so OPT_t has a finite cell")
     }
@@ -271,7 +266,7 @@ impl PrefixDp {
         let d = instance.num_types();
         self.levels.resize_with(d, Vec::new);
         for (j, buf) in self.levels.iter_mut().enumerate() {
-            self.options.grid.fill_levels(instance.server_count(t, j), buf);
+            self.grid.fill_levels(instance.server_count(t, j), buf);
         }
         self.levels_cached = self.slot_invariant;
     }
@@ -283,8 +278,8 @@ impl PrefixDp {
     }
 
     /// Serialize the resumable state into `enc`: the step counter, the
-    /// live table `OPT_t(·)` (exact `f64` bit patterns), and — in engine
-    /// mode — the pool's retention bound and pricing counters.
+    /// live table `OPT_t(·)` (exact `f64` bit patterns), and the pool's
+    /// retention bound and pricing counters.
     ///
     /// Everything else (`spare`, transform scratch, cached levels, the
     /// last priced slot) is rebuilt lazily on the first post-restore
@@ -295,33 +290,29 @@ impl PrefixDp {
     pub fn save_state(&self, enc: &mut Encoder) {
         enc.put_usize(self.slots_processed);
         snapshot::encode_table(enc, &self.table);
-        match &self.pool {
-            None => enc.put_u8(0),
-            Some(pool) => {
-                enc.put_u8(1);
-                // A shared pool snapshots like an owned one (capacity +
-                // the shared counters); the owner re-installs the
-                // shared handle after restore if it wants to keep
-                // sharing — entries re-price on demand either way.
-                let (cap, s) = match pool {
-                    Pool::Owned(p) => (p.capacity(), p.stats()),
-                    Pool::Shared(p) => {
-                        let p = lock_shared(p);
-                        (p.capacity(), p.stats())
-                    }
-                };
-                enc.put_usize(cap);
-                enc.put_u64(s.pricings);
-                enc.put_u64(s.pool_hits);
-                enc.put_u64(s.slice_hits);
+        // Pool tag 1; tag 0 marked states of the retired per-cell
+        // pricing path, which `restore_state` refuses. A shared pool
+        // snapshots like an owned one (capacity + the shared counters);
+        // the owner re-installs the shared handle after restore if it
+        // wants to keep sharing — entries re-price on demand either way.
+        enc.put_u8(1);
+        let (cap, s) = match &self.pool {
+            Pool::Owned(p) => (p.capacity(), p.stats()),
+            Pool::Shared(p) => {
+                let p = lock_shared(p);
+                (p.capacity(), p.stats())
             }
-        }
+        };
+        enc.put_usize(cap);
+        enc.put_u64(s.pricings);
+        enc.put_u64(s.pool_hits);
+        enc.put_u64(s.slice_hits);
     }
 
     /// Restore state written by [`PrefixDp::save_state`] into this
-    /// solver, which must have been built against the same `instance`
-    /// with the same engine mode. The next [`PrefixDp::step`] must be
-    /// given `t == slots_processed()`.
+    /// solver, which must have been built against the same `instance`.
+    /// The next [`PrefixDp::step`] must be given
+    /// `t == slots_processed()`.
     pub fn restore_state(
         &mut self,
         instance: &Instance,
@@ -338,32 +329,22 @@ impl PrefixDp {
         if slots > instance.horizon().saturating_mul(1 << 20) {
             return Err(SnapshotError::Corrupt("step counter out of range"));
         }
-        let pool = match dec.take_u8()? {
-            0 => {
-                if self.options.engine {
-                    return Err(SnapshotError::Corrupt("snapshot was taken with the engine off"));
-                }
-                None
-            }
-            1 => {
-                if !self.options.engine {
-                    return Err(SnapshotError::Corrupt("snapshot was taken with the engine on"));
-                }
-                let cap = dec.take_usize()?;
-                let pricings = dec.take_u64()?;
-                let pool_hits = dec.take_u64()?;
-                let slice_hits = dec.take_u64()?;
-                if cap == 0 || cap > (1 << 32) {
-                    return Err(SnapshotError::Corrupt("pool capacity out of range"));
-                }
-                let mut pool = PricedSlotPool::with_capacity(instance, cap);
-                pool.restore_counters(pricings, pool_hits, slice_hits);
-                Some(Pool::Owned(pool))
-            }
+        match dec.take_u8()? {
+            0 => return Err(SnapshotError::Corrupt("snapshot was taken with the engine off")),
+            1 => {}
             _ => return Err(SnapshotError::Corrupt("unknown pool tag")),
-        };
+        }
+        let cap = dec.take_usize()?;
+        let pricings = dec.take_u64()?;
+        let pool_hits = dec.take_u64()?;
+        let slice_hits = dec.take_u64()?;
+        if cap == 0 || cap > (1 << 32) {
+            return Err(SnapshotError::Corrupt("pool capacity out of range"));
+        }
+        let mut pool = PricedSlotPool::with_capacity(instance, cap);
+        pool.restore_counters(pricings, pool_hits, slice_hits);
         self.table = table;
-        self.pool = pool;
+        self.pool = Pool::Owned(pool);
         self.slots_processed = slots;
         // Scratch state is rebuilt on the next step.
         self.levels_cached = false;
@@ -389,45 +370,24 @@ mod tests {
     }
 
     #[test]
-    fn incremental_tables_match_batch_tables() {
+    fn prefix_tables_match_per_cell_reference_within_sweep_tolerance() {
         let inst = instance();
         let oracle = Dispatcher::new();
         let opts = DpOptions { parallel: false, ..DpOptions::default() };
-        let batch = forward_tables(&inst, &oracle, opts);
+        let reference = forward_tables(&inst, &oracle, opts);
         let mut pre = PrefixDp::new(&inst, opts);
-        #[allow(clippy::needless_range_loop)] // t indexes batch tables in lockstep
-        for t in 0..inst.horizon() {
+        for (t, want) in reference.iter().enumerate() {
             pre.step(&inst, &oracle, t);
-            for i in 0..batch[t].len() {
-                let (a, b) = (pre.table().values()[i], batch[t].values()[i]);
-                assert!((a == b) || (a - b).abs() < 1e-9, "t={t} cell {i}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn engine_tables_match_legacy_within_sweep_tolerance() {
-        let inst = instance();
-        let oracle = Dispatcher::new();
-        let base = DpOptions { parallel: false, ..DpOptions::default() };
-        let mut legacy = PrefixDp::new(&inst, base);
-        let mut engined = PrefixDp::new(&inst, DpOptions { engine: true, ..base });
-        for t in 0..inst.horizon() {
-            let a = legacy.step(&inst, &oracle, t);
-            let b = engined.step(&inst, &oracle, t);
-            assert_eq!(a, b, "t={t}: argmin configs diverged");
-            for i in 0..legacy.table().len() {
-                let (x, y) = (legacy.table().values()[i], engined.table().values()[i]);
+            assert_eq!(pre.table().argmin(), want.argmin(), "t={t}: argmin diverged");
+            for (i, (&x, &y)) in pre.table().values().iter().zip(want.values()).enumerate() {
                 assert!(
                     (x == y) || (x - y).abs() <= 1e-9 * x.abs().max(1.0),
                     "t={t} cell {i}: {x} vs {y}"
                 );
             }
-            assert!(engined.last_priced().is_some());
-            assert!(legacy.last_priced().is_none());
+            assert!(pre.last_priced().is_some());
         }
-        let stats = engined.engine_stats().expect("engine on");
-        assert!(stats.pricings > 0);
+        assert!(pre.engine_stats().pricings > 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!   grid (Section 4.1), with per-slot candidate grids so time-varying
 //!   fleet sizes (Section 4.3) come for free. The DP transition uses the
 //!   linear-time power-up distance [`transform`], giving `O(T·|grid|·d)`
-//!   per solve plus one dispatch solve per cell.
+//!   per solve plus one dispatch solve per cell. Its per-cell recurrence
+//!   ([`dp::forward_tables`], [`dp::dp_step`]) is the test reference for
+//!   the solver path below.
 //! * [`graph`] — the paper's explicit two-layer graph `G(I)` (Figure 4)
 //!   solved by per-layer relaxations; an independent implementation used
 //!   to cross-check the DP.
@@ -21,9 +23,8 @@
 //!   engine behind [`dp::solve`].
 //! * [`incremental`] — a rolling prefix-optimal solver, the substrate
 //!   that makes the online algorithms of Sections 2–3 efficient. It
-//!   steps in place (double-buffered tables, persistent scratch) and,
-//!   with [`DpOptions::engine`], prices through [`engine`]'s dense
-//!   priced-slot pool.
+//!   steps in place (double-buffered tables, persistent scratch) and
+//!   prices through [`engine`]'s dense priced-slot pool.
 //! * [`engine`] — the online decision engine's pricing layer: whole-grid
 //!   `g_t` tables priced once via the warm-started sweep path and
 //!   retained in a bounded `(slot partition, λ, grid)` pool; its

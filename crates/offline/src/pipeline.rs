@@ -1,9 +1,9 @@
 //! The slot-batched pricing pipeline and checkpointed schedule recovery.
 //!
-//! The legacy DP interleaves, per slot, an arrival transform with a
-//! table fill that runs one dispatch solve per cell — erecting one
-//! thread barrier per slot and holding every `OPT_t` table alive for
-//! backtracking. This module restructures the solver around the
+//! The literal DP ([`crate::dp::forward_tables`]) interleaves, per slot,
+//! an arrival transform with a table fill that runs one dispatch solve
+//! per cell — erecting one thread barrier per slot and holding every
+//! `OPT_t` table alive for backtracking. The solver instead rests on the
 //! observation that `g_t(x)` does not depend on `OPT_{t−1}`:
 //!
 //! 1. **Pricing pass** — `g_t` is evaluated for whole slots at a time by
@@ -27,7 +27,7 @@
 //! per-table deterministic and pooled tables are reused verbatim), and
 //! every selection step shares the DP's `TieMin` epsilon tie-break, so
 //! the recovered schedule equals the whole-window backtrack's — the
-//! determinism tests assert this across pipeline/parallel/cache modes.
+//! determinism tests assert this across parallel/cache modes.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 
 use rsz_core::{Config, GtOracle, Instance, Schedule};
 
-use crate::dp::{backtrack_segment, betas, dp_step, DpOptions, DpResult};
+use crate::dp::{backtrack_segment, betas, DpOptions, DpResult};
 use crate::table::{GridCursor, Table};
 use crate::transform::{arrival_transform_inplace, TransformScratch};
 
@@ -67,17 +67,16 @@ struct PriceKey {
 }
 
 /// The solver engine: advances `OPT` tables across slot ranges, pricing
-/// in batches when the pipeline is on and stepping the legacy per-slot
-/// path otherwise. One instance lives for the whole solve so the
-/// time-independent pricing pool persists across forward and recovery
-/// passes.
+/// each range as one batch. One instance lives for the whole solve so
+/// the time-independent pricing pool persists across forward and
+/// recovery passes.
 struct Engine<'a, O> {
     instance: &'a Instance,
     oracle: &'a O,
     options: DpOptions,
     betas: Vec<f64>,
-    /// `Some` iff the instance is time-independent and the pipeline is
-    /// on: pricing tables keyed by `(λ, grid)`, capped at `pool_cap`.
+    /// `Some` iff the instance is time-independent: pricing tables keyed
+    /// by `(λ, grid)`, capped at `pool_cap`.
     pool: Option<HashMap<PriceKey, Arc<Table>>>,
     pool_cap: usize,
     /// The candidate grid, hoisted once when fleet sizes are
@@ -98,7 +97,7 @@ struct Engine<'a, O> {
 
 impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     fn new(instance: &'a Instance, oracle: &'a O, options: DpOptions, segment_len: usize) -> Self {
-        let pool = (options.pipeline && instance.is_time_independent()).then(HashMap::new);
+        let pool = instance.is_time_independent().then(HashMap::new);
         let invariant_levels = (!instance.has_time_varying_counts()).then(|| {
             (0..instance.num_types())
                 .map(|j| options.grid.levels(instance.server_count(0, j)))
@@ -143,9 +142,8 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     /// values must never depend on batch composition or worker count,
     /// or replayed recovery segments would stop being bit-identical to
     /// the forward pass. Parallelism lives *across* slots.
-    fn price_table(&self, t: usize, levels: Vec<Vec<u32>>) -> Table {
+    fn price_table(&self, t: usize, table: &mut Table) {
         let lambda = self.instance.load(t);
-        let mut table = Table::new(levels, f64::INFINITY);
         let levels = table.all_levels().to_vec();
         let mut sweep = self.oracle.slot_sweep(self.instance, t, lambda, 1.0);
         let mut cursor = GridCursor::new(&levels, 0);
@@ -153,7 +151,6 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
             *v = sweep.eval(cursor.counts());
             cursor.advance();
         }
-        table
     }
 
     /// Pricing pass over a batch of slots: one table per slot, slots
@@ -198,31 +195,29 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
         let total_cells: usize =
             jobs.iter().map(|(_, l)| l.iter().map(Vec::len).product::<usize>()).sum();
         let threads = self.options.effective_threads(total_cells).min(jobs.len().max(1));
-        let solved: Vec<Table> = if threads <= 1 || jobs.len() <= 1 {
-            jobs.drain(..).map(|(t, levels)| self.price_table(t, levels)).collect()
+        // Tables are allocated here, on the calling thread, and only
+        // filled by the workers: worker-side allocations would land in
+        // per-thread allocator arenas and inflate the resident set.
+        let (slot_of, mut solved): (Vec<usize>, Vec<Table>) =
+            jobs.drain(..).map(|(t, levels)| (t, Table::new(levels, f64::INFINITY))).unzip();
+        if threads <= 1 || solved.len() <= 1 {
+            for (&t, table) in slot_of.iter().zip(&mut solved) {
+                self.price_table(t, table);
+            }
         } else {
-            let results: Vec<Mutex<Option<Table>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
+            let work: Vec<Mutex<&mut Table>> = solved.iter_mut().map(Mutex::new).collect();
             let next = AtomicUsize::new(0);
-            let next = &next;
-            let jobs = &jobs;
-            let results_ref = &results;
-            let this = &*self;
+            let (next, work, slot_of, this) = (&next, &work, &slot_of, &*self);
             std::thread::scope(|s| {
                 for _ in 0..threads {
                     s.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((t, levels)) = jobs.get(i) else { break };
-                        let table = this.price_table(*t, levels.clone());
-                        *results_ref[i].lock().expect("poisoned") = Some(table);
+                        let Some(table) = work.get(i) else { break };
+                        this.price_table(slot_of[i], &mut table.lock().expect("poisoned"));
                     });
                 }
             });
-            results
-                .into_iter()
-                .map(|m| m.into_inner().expect("poisoned").expect("every job ran"))
-                .collect()
-        };
+        }
 
         let shared: Vec<Arc<Table>> = solved.into_iter().map(Arc::new).collect();
         let mut pooled = 0usize;
@@ -250,9 +245,9 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
     /// One recurrence step, in place: arrival transform onto the pricing
     /// table's grid (ping-ponging through the engine's spare table), then
     /// fold in `g_t` via [`crate::kernels::axpy_fold`] at scale 1 — cells
-    /// priced infeasible become infinite, matching [`dp_step`]. Zero heap
-    /// allocation once the engine's buffers reach the grid's high-water
-    /// mark.
+    /// priced infeasible become infinite, matching [`crate::dp::dp_step`].
+    /// Zero heap allocation once the engine's buffers reach the grid's
+    /// high-water mark.
     fn recurrence_step(&mut self, prev: &mut Table, pricing: &Table) {
         arrival_transform_inplace(
             prev,
@@ -275,23 +270,13 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
         mut out: Option<&mut Vec<Table>>,
         base_live: usize,
     ) -> Table {
-        if self.options.pipeline {
-            let (pricing, owned) = self.price_batch(range.clone());
-            self.note_live(base_live + owned + 1);
-            for (offset, _t) in range.enumerate() {
-                self.recurrence_step(&mut prev, &pricing[offset]);
-                if let Some(out) = out.as_deref_mut() {
-                    out.push(prev.clone());
-                    self.note_live(base_live + owned + out.len() + 1);
-                }
-            }
-        } else {
-            for t in range {
-                prev = dp_step(&prev, self.instance, self.oracle, t, &self.betas, self.options);
-                if let Some(out) = out.as_deref_mut() {
-                    out.push(prev.clone());
-                    self.note_live(base_live + out.len() + 1);
-                }
+        let (pricing, owned) = self.price_batch(range);
+        self.note_live(base_live + owned + 1);
+        for priced in &pricing {
+            self.recurrence_step(&mut prev, priced);
+            if let Some(out) = out.as_deref_mut() {
+                out.push(prev.clone());
+                self.note_live(base_live + owned + out.len() + 1);
             }
         }
         prev
@@ -306,37 +291,10 @@ impl<'a, O: GtOracle + Sync> Engine<'a, O> {
 /// overrides this cutoff in either direction.
 pub const CHECKPOINT_MIN_HORIZON: usize = 257;
 
-/// Table-memory budget under which [`crate::dp::RecoveryMode::Auto`]
-/// materializes even beyond [`CHECKPOINT_MIN_HORIZON`] when **nothing
-/// would make the recovery replay cheap** — the instance's costs are
-/// time-dependent (so the pipeline's `(λ, grid)` pricing pool cannot
-/// share slots) *and* the oracle does not memoize
-/// ([`GtOracle::is_memoizing`]). In that corner, checkpointing pays the
-/// full pricing twice, which is exactly how the pipeline used to lose
-/// to the cached baseline on pure time-dependent workloads; detecting
-/// the non-poolable combination up front keeps it strictly a win.
-pub const AUTO_MATERIALIZE_BUDGET_BYTES: u64 = 64 << 20;
-
-/// `true` if the Auto policy should materialize the whole horizon for
-/// this solve: short horizon, or a non-poolable slot stream (see
-/// [`AUTO_MATERIALIZE_BUDGET_BYTES`]) whose tables fit the budget.
-fn auto_materializes(
-    instance: &Instance,
-    oracle: &(impl GtOracle + Sync),
-    options: DpOptions,
-) -> bool {
-    let horizon = instance.horizon();
-    if horizon < CHECKPOINT_MIN_HORIZON {
-        return true;
-    }
-    if instance.is_time_independent() || oracle.is_memoizing() {
-        return false;
-    }
-    let max_counts = instance.max_counts();
-    let cells: u64 = (0..instance.num_types())
-        .map(|j| options.grid.levels(max_counts[j]).len() as u64)
-        .product();
-    cells.saturating_mul(horizon as u64).saturating_mul(8) <= AUTO_MATERIALIZE_BUDGET_BYTES
+/// `⌈√n⌉`, at least 1: the segment length of checkpointed recovery.
+#[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+fn sqrt_ceil(n: usize) -> usize {
+    ((n as f64).sqrt().ceil() as usize).max(1)
 }
 
 /// Checkpointed offline solve: forward pass storing `√T` checkpoints,
@@ -359,10 +317,9 @@ pub fn solve_checkpointed(
     let materialize = match options.recovery {
         crate::dp::RecoveryMode::Materialized => true,
         crate::dp::RecoveryMode::Checkpointed => false,
-        crate::dp::RecoveryMode::Auto => auto_materializes(instance, oracle, options),
+        crate::dp::RecoveryMode::Auto => horizon < CHECKPOINT_MIN_HORIZON,
     };
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let k = if materialize { horizon } else { ((horizon as f64).sqrt().ceil() as usize).max(1) };
+    let k = if materialize { horizon } else { sqrt_ceil(horizon) };
     let segments: Vec<Range<usize>> =
         (0..horizon.div_ceil(k)).map(|s| s * k..((s + 1) * k).min(horizon)).collect();
 
@@ -421,8 +378,7 @@ pub fn cost_only(instance: &Instance, oracle: &(impl GtOracle + Sync), options: 
     if horizon == 0 {
         return prev.min_value();
     }
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let k = ((horizon as f64).sqrt().ceil() as usize).max(1);
+    let k = sqrt_ceil(horizon);
     let mut engine = Engine::new(instance, oracle, options, k);
     let mut t = 0;
     while t < horizon {
@@ -467,21 +423,12 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_matches_legacy_cost_and_schedule() {
+    fn pipeline_matches_per_cell_reference() {
         for inst in [diurnal_instance(30), time_dependent_instance(23)] {
             let oracle = Dispatcher::new();
-            let legacy = solve_checkpointed(
-                &inst,
-                &oracle,
-                DpOptions { parallel: false, ..Default::default() },
-            )
-            .0;
-            let piped = solve_checkpointed(
-                &inst,
-                &oracle,
-                DpOptions { parallel: false, pipeline: true, ..Default::default() },
-            )
-            .0;
+            let opts = DpOptions { parallel: false, ..Default::default() };
+            let legacy = backtrack(&inst, &forward_tables(&inst, &oracle, opts));
+            let piped = solve_checkpointed(&inst, &oracle, opts).0;
             assert_eq!(legacy.schedule, piped.schedule);
             assert!(
                 (legacy.cost - piped.cost).abs() <= 1e-9 * legacy.cost.abs().max(1.0),
@@ -497,10 +444,13 @@ mod tests {
         let inst = diurnal_instance(300); // not a square, above the cutoff
         let oracle = Dispatcher::new();
         let opts = DpOptions { parallel: false, ..Default::default() };
-        let full = backtrack(&inst, &forward_tables(&inst, &oracle, opts));
+        let materialized = DpOptions { recovery: crate::dp::RecoveryMode::Materialized, ..opts };
+        let full = solve_checkpointed(&inst, &oracle, materialized).0;
         let (chk, stats) = solve_with_stats(&inst, &oracle, opts);
         assert_eq!(full.schedule, chk.schedule);
         assert_eq!(full.cost.to_bits(), chk.cost.to_bits());
+        let reference = backtrack(&inst, &forward_tables(&inst, &oracle, opts));
+        assert_eq!(reference.schedule, chk.schedule);
         assert_eq!(stats.horizon, 300);
         assert_eq!(stats.segment_len, 18, "⌈√300⌉");
         assert_eq!(stats.checkpoints, 17);
@@ -557,7 +507,7 @@ mod tests {
     fn pipeline_cost_only_matches_full_solve() {
         for inst in [diurnal_instance(17), time_dependent_instance(17)] {
             let oracle = Dispatcher::new();
-            let opts = DpOptions { parallel: false, pipeline: true, ..Default::default() };
+            let opts = DpOptions { parallel: false, ..Default::default() };
             let full = solve_checkpointed(&inst, &oracle, opts).0;
             let cheap = cost_only(&inst, &oracle, opts);
             assert!((full.cost - cheap).abs() <= 1e-9 * full.cost.abs().max(1.0));
@@ -570,11 +520,8 @@ mod tests {
         // long the horizon.
         let inst = diurnal_instance(64);
         let oracle = Dispatcher::new();
-        let (_, stats) = solve_with_stats(
-            &inst,
-            &oracle,
-            DpOptions { parallel: false, pipeline: true, ..Default::default() },
-        );
+        let (_, stats) =
+            solve_with_stats(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
         assert!(
             stats.pooled_pricing_tables <= 8,
             "expected ≤ 8 distinct tables, got {}",
@@ -586,11 +533,8 @@ mod tests {
     fn time_dependent_instances_do_not_pool() {
         let inst = time_dependent_instance(20);
         let oracle = Dispatcher::new();
-        let (_, stats) = solve_with_stats(
-            &inst,
-            &oracle,
-            DpOptions { parallel: false, pipeline: true, ..Default::default() },
-        );
+        let (_, stats) =
+            solve_with_stats(&inst, &oracle, DpOptions { parallel: false, ..Default::default() });
         assert_eq!(stats.pooled_pricing_tables, 0);
     }
 }

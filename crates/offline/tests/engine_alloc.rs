@@ -6,36 +6,45 @@
 //! stops touching the allocator once warm. This harness registers a
 //! counting `#[global_allocator]` (the test binary is its own process,
 //! so the hook is safe) and asserts **zero** allocations across the
-//! steady-state portion of a run — the engine analogue of PR 3's
-//! live-table-counting test.
+//! steady-state portion of a run — the engine analogue of the
+//! live-table-counting test. The counter is per thread, so tests running
+//! in parallel in the same binary never count each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rsz_core::{CostModel, Instance, ServerType};
 use rsz_dispatch::Dispatcher;
-use rsz_offline::dp::DpOptions;
+use rsz_offline::dp::{forward_tables, DpOptions};
 use rsz_offline::PrefixDp;
 
-/// Counts every allocation and reallocation (deallocations are free to
-/// happen — the invariant under test is "no new heap memory").
+/// Counts every allocation and reallocation made by the current thread
+/// (deallocations are free to happen — the invariant under test is "no
+/// new heap memory").
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot is gone while the thread itself is torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -47,8 +56,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made by the calling thread so far.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A time-independent instance whose loads tile an 8-slot "day": after
@@ -69,7 +79,7 @@ fn steady_state_prefix_step_is_allocation_free() {
     let horizon = 48;
     let inst = tiled_instance(horizon);
     let oracle = Dispatcher::new();
-    let opts = DpOptions { engine: true, parallel: false, threads: Some(1), ..Default::default() };
+    let opts = DpOptions { parallel: false, threads: Some(1), ..Default::default() };
     let mut pre = PrefixDp::new(&inst, opts);
 
     // Warm-up: two full periods price every distinct (λ, grid) into the
@@ -91,24 +101,24 @@ fn steady_state_prefix_step_is_allocation_free() {
     );
 
     // Sanity: the engine really was answering from the pool.
-    let stats = pre.engine_stats().expect("engine on");
+    let stats = pre.engine_stats();
     assert_eq!(stats.pricings, 8, "one pricing per distinct day slot");
     assert_eq!(stats.pool_hits, horizon as u64 - 8);
 }
 
 #[test]
-fn legacy_step_matches_engine_decisions_on_the_same_trace() {
-    // Companion check in the same process (same allocator): the engine's
-    // zero-alloc path and the legacy per-cell path pick identical
-    // prefix-optimal configurations.
+fn prefix_step_matches_per_cell_reference_on_the_same_trace() {
+    // Companion check on the same trace: the zero-alloc pooled path
+    // picks the prefix-optimal configurations of the per-cell reference
+    // recurrence.
     let inst = tiled_instance(24);
     let oracle = Dispatcher::new();
-    let base = DpOptions { parallel: false, ..Default::default() };
-    let mut legacy = PrefixDp::new(&inst, base);
-    let mut engine = PrefixDp::new(&inst, DpOptions { engine: true, ..base });
-    for t in 0..inst.horizon() {
-        let a = legacy.step(&inst, &oracle, t);
-        let b = engine.step(&inst, &oracle, t);
-        assert_eq!(a, b, "t={t}");
+    let opts = DpOptions { parallel: false, ..Default::default() };
+    let reference = forward_tables(&inst, &oracle, opts);
+    let mut pre = PrefixDp::new(&inst, opts);
+    for (t, table) in reference.iter().enumerate() {
+        let got = pre.step(&inst, &oracle, t);
+        let want = table.config_of(table.argmin().expect("feasible prefix"));
+        assert_eq!(got, want, "t={t}");
     }
 }

@@ -305,36 +305,32 @@ fn recovery_memory_is_sqrt_t_on_long_horizons() {
         .build()
         .unwrap();
     let oracle = Dispatcher::new();
-    for pipeline in [false, true] {
-        // Checkpointing is forced: under Auto this non-poolable
-        // instance would (correctly) materialize within the memory
-        // budget instead of paying the replay — the machinery under
-        // test here is the checkpointed recovery itself.
-        let opts = DpOptions {
-            parallel: false,
-            pipeline,
-            recovery: rsz_offline::RecoveryMode::Checkpointed,
-            ..Default::default()
-        };
-        let (res, stats) = solve_with_stats(&inst, &oracle, opts);
-        assert_eq!(stats.horizon, horizon);
-        assert_eq!(stats.segment_len, 32, "⌈√1024⌉");
-        assert_eq!(stats.checkpoints, 32);
-        assert_eq!(stats.pooled_pricing_tables, 0, "time-dependent: no pool");
-        // Checkpoints (≤ √T) + one replayed segment (≤ √T OPT tables)
-        // + the segment's pricing batch (≤ √T, pipeline only) + rolling
-        // state — far below the T tables full materialization holds.
-        let bound = 3 * stats.segment_len + 8;
-        assert!(
-            stats.peak_live_tables <= bound,
-            "pipeline={pipeline}: peak {} tables exceeds O(√T) bound {}",
-            stats.peak_live_tables,
-            bound
-        );
-        assert!(stats.peak_live_tables < horizon / 4, "not meaningfully below O(T)");
-        // And the recovered schedule matches the O(T)-memory reference.
-        let full = backtrack(&inst, &forward_tables(&inst, &oracle, opts));
-        assert_eq!(full.schedule, res.schedule, "pipeline={pipeline}");
-        assert!((full.cost - res.cost).abs() <= 1e-9 * full.cost.abs().max(1.0));
-    }
+    // Checkpointing is forced so the test does not depend on the
+    // Auto cutoff — the machinery under test here is the
+    // checkpointed recovery itself.
+    let opts = DpOptions {
+        parallel: false,
+        recovery: rsz_offline::RecoveryMode::Checkpointed,
+        ..Default::default()
+    };
+    let (res, stats) = solve_with_stats(&inst, &oracle, opts);
+    assert_eq!(stats.horizon, horizon);
+    assert_eq!(stats.segment_len, 32, "⌈√1024⌉");
+    assert_eq!(stats.checkpoints, 32);
+    assert_eq!(stats.pooled_pricing_tables, 0, "time-dependent: no pool");
+    // Checkpoints (≤ √T) + one replayed segment (≤ √T OPT tables)
+    // + the segment's pricing batch (≤ √T) + rolling
+    // state — far below the T tables full materialization holds.
+    let bound = 3 * stats.segment_len + 8;
+    assert!(
+        stats.peak_live_tables <= bound,
+        "peak {} tables exceeds O(√T) bound {}",
+        stats.peak_live_tables,
+        bound
+    );
+    assert!(stats.peak_live_tables < horizon / 4, "not meaningfully below O(T)");
+    // And the recovered schedule matches the O(T)-memory reference.
+    let full = backtrack(&inst, &forward_tables(&inst, &oracle, opts));
+    assert_eq!(full.schedule, res.schedule);
+    assert!((full.cost - res.cost).abs() <= 1e-9 * full.cost.abs().max(1.0));
 }

@@ -85,18 +85,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Refined-exact solves are schedule-identical to unrestricted
-    /// solves across {plain, cached} oracles × {legacy, pipeline}
-    /// pricing × {Full, Γ(1.5)} fine targets × both cost shapes.
+    /// solves across {plain, cached} oracles × {Full, Γ(1.5)} fine
+    /// targets × both cost shapes.
     #[test]
     fn refined_exact_matches_unrestricted(
         spec in spec_strategy(2, 14, 8),
         time_dependent in prop_oneof![Just(false), Just(true)],
-        pipeline in prop_oneof![Just(false), Just(true)],
         cached in prop_oneof![Just(false), Just(true)],
     ) {
         let inst = build(&spec, time_dependent);
         for target in [GridMode::Full, GridMode::Gamma(1.5)] {
-            let base = DpOptions { parallel: false, pipeline, grid: target, ..DpOptions::default() };
+            let base = DpOptions { parallel: false, grid: target, ..DpOptions::default() };
             let refined_opts = DpOptions {
                 refine: Some(RefineOptions::exact().with_target(target)),
                 ..base
@@ -110,8 +109,8 @@ proptest! {
             };
             prop_assert_eq!(
                 &want.schedule, &got.schedule,
-                "target {:?} pipeline={} cached={} td={}: schedules diverged",
-                target, pipeline, cached, time_dependent
+                "target {:?} cached={} td={}: schedules diverged",
+                target, cached, time_dependent
             );
             prop_assert!(
                 (want.cost - got.cost).abs() <= 1e-9 * want.cost.abs().max(1.0),

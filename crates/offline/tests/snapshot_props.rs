@@ -122,12 +122,10 @@ proptest! {
     #[test]
     fn prefix_dp_round_trips_across_the_matrix(spec in spec_strategy()) {
         let instance = build(&spec);
-        for engine in [false, true] {
-            for grid in [GridMode::Full, GridMode::Gamma(1.5)] {
-                let options = DpOptions { engine, grid, ..DpOptions::default() };
-                round_trip(&instance, &Dispatcher::new(), options, spec.cut_frac);
-                round_trip(&instance, &CachedDispatcher::new(&instance), options, spec.cut_frac);
-            }
+        for grid in [GridMode::Full, GridMode::Gamma(1.5)] {
+            let options = DpOptions { grid, ..DpOptions::default() };
+            round_trip(&instance, &Dispatcher::new(), options, spec.cut_frac);
+            round_trip(&instance, &CachedDispatcher::new(&instance), options, spec.cut_frac);
         }
     }
 }
@@ -164,23 +162,23 @@ fn sealed_envelope_reports_specific_failures() {
 }
 
 #[test]
-fn restore_refuses_cross_mode_snapshots() {
+fn restore_refuses_per_cell_pricing_snapshots() {
+    // States saved by the retired per-cell pricing path carry pool tag
+    // 0 and no pool section; they are refused, never half-restored.
     let spec = Spec { counts: vec![2], load_fracs: vec![0.3, 0.7, 0.5], cut_frac: 0.5 };
     let instance = build(&spec);
     let oracle = Dispatcher::new();
-    for (save_engine, restore_engine) in [(false, true), (true, false)] {
-        let mut src =
-            PrefixDp::new(&instance, DpOptions { engine: save_engine, ..DpOptions::default() });
-        src.step(&instance, &oracle, 0);
-        let mut enc = Encoder::new();
-        src.save_state(&mut enc);
-        let sealed = enc.into_sealed();
-        let mut dst =
-            PrefixDp::new(&instance, DpOptions { engine: restore_engine, ..DpOptions::default() });
-        let mut dec = Decoder::from_sealed(&sealed).unwrap();
-        assert!(
-            dst.restore_state(&instance, &mut dec).is_err(),
-            "engine {save_engine} snapshot restored into engine {restore_engine} solver"
-        );
-    }
+    let mut src = PrefixDp::new(&instance, DpOptions::default());
+    src.step(&instance, &oracle, 0);
+    let mut enc = Encoder::new();
+    enc.put_usize(src.slots_processed());
+    rsz_offline::engine::snapshot::encode_table(&mut enc, src.table());
+    enc.put_u8(0);
+    let sealed = enc.into_sealed();
+    let mut dst = PrefixDp::new(&instance, DpOptions::default());
+    let mut dec = Decoder::from_sealed(&sealed).unwrap();
+    assert_eq!(
+        dst.restore_state(&instance, &mut dec),
+        Err(SnapshotError::Corrupt("snapshot was taken with the engine off"))
+    );
 }

@@ -35,26 +35,20 @@ pub struct AOptions {
     /// paper's algorithm; `Gamma(γ)` trades the guarantee for speed on
     /// large fleets (the prefix optima become (2γ−1)-approximate).
     pub grid: GridMode,
-    /// Parallelize the prefix DP's dispatch solves.
+    /// Parallelize the prefix DP's pricing; see [`DpOptions::parallel`].
     pub parallel: bool,
     /// Explicit worker count for the prefix DP's fills (`None` = derive
     /// from `parallel`); see [`DpOptions::threads`].
     pub threads: Option<usize>,
-    /// Price prefix-DP slots through the warm-started sweep path; see
-    /// [`DpOptions::pipeline`].
-    pub pipeline: bool,
-    /// Run the prefix solver through the online decision engine (dense
-    /// priced-slot pool, allocation-free stepping); see
-    /// [`DpOptions::engine`].
-    pub engine: bool,
     /// Retain the **full** per-slot power-up log `w` (`O(T·d)` memory)
     /// instead of only the ring of rows still inside a retirement
     /// window. Needed by the block decomposition ([`crate::blocks`]);
     /// off by default so long-horizon controllers run in `O(max t̄·d)`.
     pub keep_power_up_log: bool,
-    /// Priced-slot pool retention bound for the engine (`None` = the
-    /// engine default). Tiny values force constant re-pricing — the
-    /// chaos suite's eviction storm — without ever changing decisions.
+    /// Priced-slot pool retention bound (`None` = derived from the
+    /// instance; see [`DpOptions::pool_capacity`]). Tiny values force
+    /// constant re-pricing — the chaos suite's eviction storm — without
+    /// ever changing decisions.
     pub pool_capacity: Option<usize>,
 }
 
@@ -64,8 +58,6 @@ impl Default for AOptions {
             grid: GridMode::Full,
             parallel: false,
             threads: None,
-            pipeline: false,
-            engine: false,
             keep_power_up_log: false,
             pool_capacity: None,
         }
@@ -80,18 +72,10 @@ impl AOptions {
         DpOptions {
             grid: self.grid,
             parallel: self.parallel,
-            pipeline: self.pipeline,
             threads: self.threads,
-            engine: self.engine,
             pool_capacity: self.pool_capacity,
             ..DpOptions::default()
         }
-    }
-
-    /// The default options with the online decision engine switched on.
-    #[must_use]
-    pub fn engined() -> Self {
-        Self { engine: true, ..Self::default() }
     }
 }
 
@@ -192,18 +176,17 @@ impl<O: GtOracle + Sync> AlgorithmA<O> {
         self.prefix.prefix_opt_cost()
     }
 
-    /// Pricing counters of the prefix solver's engine (`None` when the
-    /// engine is off).
+    /// Pricing counters of the prefix solver's priced-slot pool.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
+    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
         self.prefix.engine_stats()
     }
 
-    /// Share the engine's priced-slot pool with other controllers of
-    /// the same instance shape (see [`rsz_offline::SharedSlotPool`]).
-    /// Returns `false` when the engine is off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.prefix.share_pool(pool)
+    /// Share the prefix solver's priced-slot pool with other
+    /// controllers of the same instance shape (see
+    /// [`rsz_offline::SharedSlotPool`]).
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.prefix.share_pool(pool);
     }
 }
 
@@ -500,17 +483,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_decides_identically() {
+    fn recurring_loads_hit_the_pricing_pool() {
         let inst = simple(vec![1.0, 3.0, 0.0, 2.0, 4.0, 0.0, 1.0, 2.0], 3.0, 1.0);
         let oracle = Dispatcher::new();
-        let mut plain = AlgorithmA::new(&inst, oracle, AOptions::default());
-        let want = run(&inst, &mut plain, &oracle);
-        let mut engined = AlgorithmA::new(&inst, oracle, AOptions::engined());
-        let got = run(&inst, &mut engined, &oracle);
-        assert_eq!(want.schedule, got.schedule);
-        let stats = engined.engine_stats().expect("engine on");
-        assert!(stats.pricings > 0);
-        assert!(plain.engine_stats().is_none());
+        let mut a = AlgorithmA::new(&inst, oracle, AOptions::default());
+        let _ = run(&inst, &mut a, &oracle);
+        let stats = a.engine_stats();
+        assert_eq!(stats.pricings, 5, "one pricing per distinct load");
+        assert_eq!(stats.pool_hits, 3);
     }
 
     #[test]

@@ -66,8 +66,8 @@ impl BCore {
         &self.x
     }
 
-    /// The internal prefix solver — exposed so Algorithm C can read the
-    /// engine's dense priced slot (`PrefixDp::last_priced`) and its
+    /// The internal prefix solver — exposed so Algorithm C can read its
+    /// dense priced slot (`PrefixDp::last_priced`) and its
     /// pricing counters.
     #[must_use]
     pub fn prefix(&self) -> &PrefixDp {
@@ -75,10 +75,9 @@ impl BCore {
     }
 
     /// Share the prefix solver's priced-slot pool (see
-    /// [`PrefixDp::share_pool`]). Returns `false` when the engine is
-    /// off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.prefix.share_pool(pool)
+    /// [`PrefixDp::share_pool`]).
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.prefix.share_pool(pool);
     }
 
     /// Process one (sub-)slot: retire batches whose accumulated idle cost
@@ -243,17 +242,16 @@ impl<O: GtOracle + Sync> AlgorithmB<O> {
         &self.core
     }
 
-    /// Pricing counters of the prefix solver's engine (`None` when the
-    /// engine is off).
+    /// Pricing counters of the prefix solver's priced-slot pool.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
+    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
         self.core.prefix().engine_stats()
     }
 
-    /// Share the engine's priced-slot pool with other controllers of
-    /// the same instance shape. Returns `false` when the engine is off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.core.share_pool(pool)
+    /// Share the prefix solver's priced-slot pool with other
+    /// controllers of the same instance shape.
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.core.share_pool(pool);
     }
 }
 

@@ -96,27 +96,27 @@ impl<O: GtOracle + Sync> AlgorithmC<O> {
         &self.subslot_log
     }
 
-    /// Pricing counters of the prefix solver's engine (`None` when
-    /// [`AOptions::engine`] is off). With the engine on, every original
-    /// slot is priced **once** however many sub-slots replay it: the
-    /// `ñ_t` sub-slots of slot `t` share the pool key `(t, λ_t, grid)`,
-    /// so `pricings` equals the number of distinct original slots — the
-    /// property the pricing-count test asserts.
+    /// Pricing counters of the prefix solver's priced-slot pool. Every
+    /// original slot is priced **once** however many sub-slots replay
+    /// it: the `ñ_t` sub-slots of slot `t` share the pool key
+    /// `(t, λ_t, grid)`, so on a time-dependent instance `pricings`
+    /// equals the number of original slots — the property the
+    /// pricing-count test asserts.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
+    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
         self.core.prefix().engine_stats()
     }
 
-    /// Share the engine's priced-slot pool with other controllers of
-    /// the same instance shape. Returns `false` when the engine is off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.core.share_pool(pool)
+    /// Share the prefix solver's priced-slot pool with other
+    /// controllers of the same instance shape.
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.core.share_pool(pool);
     }
 
     /// The operating cost `g_t(x)` used to rank sub-slot states: read
-    /// from the engine's dense priced slot when available (the table was
-    /// priced once for this slot and λ), falling back to the oracle for
-    /// off-grid states or engine-off runs. Pool-resident values carry
+    /// from the prefix solver's dense priced slot (the table was priced
+    /// once for this slot and λ), falling back to the oracle for
+    /// off-grid states. Pool-resident values carry
     /// the documented `1e-9` sweep tolerance; the epsilon tie in
     /// [`AlgorithmC::decide`] absorbs it for exact and near-exact ties
     /// (gaps right at the window edge remain theoretically flippable —
@@ -173,8 +173,8 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for AlgorithmC<O> {
         }
         // Run B over the ñ_t sub-slots and keep the state with minimal
         // operating cost (g̃ is 1/ñ_t · g_t for every sub-slot, so the
-        // unscaled g_t ranks identically). With the engine on, each
-        // sub-slot after the first replays the slot's pooled pricing —
+        // unscaled g_t ranks identically). Each sub-slot after the
+        // first replays the slot's pooled pricing —
         // one transform+add pass, zero dispatch solves — and `g` is a
         // table lookup instead of an oracle call.
         let mut best: Option<(f64, Config)> = None;
@@ -335,47 +335,26 @@ mod tests {
     }
 
     #[test]
-    fn engine_prices_each_original_slot_exactly_once() {
-        // ε = 0.05 pushes ñ_t well above 1 on most slots; with the
-        // engine on, all ñ_t sub-slots of an original slot share one
+    fn prices_each_original_slot_exactly_once() {
+        // ε = 0.05 pushes ñ_t well above 1 on most slots; all ñ_t
+        // sub-slots of an original slot share one
         // (t, λ, grid) pool entry, so the pricing counter must equal the
         // horizon — the whole point of the sub-slot replay.
         let inst = time_varying_instance();
         let oracle = Dispatcher::new();
-        let mut c = AlgorithmC::new(
-            &inst,
-            oracle,
-            COptions { epsilon: 0.05, base: AOptions::engined(), ..Default::default() },
-        );
+        let mut c =
+            AlgorithmC::new(&inst, oracle, COptions { epsilon: 0.05, ..Default::default() });
         let outcome = run(&inst, &mut c, &oracle);
         outcome.schedule.check_feasible(&inst).unwrap();
         let total_subslots: usize = c.subslot_log().iter().sum();
         assert!(total_subslots > inst.horizon(), "refinement must actually refine");
-        let stats = c.engine_stats().expect("engine on");
+        let stats = c.engine_stats();
         assert_eq!(
             stats.pricings,
             inst.horizon() as u64,
             "each original slot priced exactly once regardless of ñ_t"
         );
         assert_eq!(stats.pool_hits, (total_subslots - inst.horizon()) as u64);
-    }
-
-    #[test]
-    fn engine_and_legacy_commit_identical_schedules() {
-        let inst = time_varying_instance();
-        let oracle = Dispatcher::new();
-        for eps in [0.25, 0.5] {
-            let mut legacy =
-                AlgorithmC::new(&inst, oracle, COptions { epsilon: eps, ..Default::default() });
-            let want = run(&inst, &mut legacy, &oracle);
-            let mut engined = AlgorithmC::new(
-                &inst,
-                oracle,
-                COptions { epsilon: eps, base: AOptions::engined(), ..Default::default() },
-            );
-            let got = run(&inst, &mut engined, &oracle);
-            assert_eq!(want.schedule, got.schedule, "eps={eps}");
-        }
     }
 
     #[test]

@@ -40,8 +40,7 @@ impl<O: GtOracle + Sync> LazyCapacityProvisioning<O> {
     }
 
     /// [`LazyCapacityProvisioning::new`] with explicit prefix-solver
-    /// options — how the online decision engine ([`DpOptions::engine`])
-    /// and the pipeline pricing path are switched on for LCP.
+    /// options (grid, threads, pool capacity).
     ///
     /// # Panics
     /// Panics if the instance has more than one server type.
@@ -51,18 +50,16 @@ impl<O: GtOracle + Sync> LazyCapacityProvisioning<O> {
         Self { oracle, prefix: PrefixDp::new(instance, options), x: 0 }
     }
 
-    /// Pricing counters of the prefix solver's engine (`None` when
-    /// [`DpOptions::engine`] is off).
+    /// Pricing counters of the prefix solver's priced-slot pool.
     #[must_use]
-    pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
+    pub fn engine_stats(&self) -> rsz_offline::EngineStats {
         self.prefix.engine_stats()
     }
 
     /// Share the prefix solver's priced-slot pool (see
-    /// [`PrefixDp::share_pool`]). Returns `false` when the engine is
-    /// off.
-    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) -> bool {
-        self.prefix.share_pool(pool)
+    /// [`PrefixDp::share_pool`]).
+    pub fn share_pool(&mut self, pool: rsz_offline::SharedSlotPool) {
+        self.prefix.share_pool(pool);
     }
 
     /// The corridor `[lower, upper]` of final states of optimal prefix

@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use rsz_core::{Config, GtOracle, Instance};
-use rsz_offline::dp::{backtrack_window, betas, dp_step, DpOptions};
+use rsz_offline::dp::{backtrack_window, betas, DpOptions};
 use rsz_offline::engine::{add_priced, PricedSlotPool};
 use rsz_offline::refine::{lift_band, refine_window, FineGrid, RefineOptions};
 use rsz_offline::table::Table;
@@ -33,16 +33,14 @@ pub struct RecedingHorizon<O> {
     oracle: O,
     /// Forecast window length `w ≥ 1` (1 = myopic with switching).
     pub window: usize,
-    /// Options for the window DP (grid, pipeline pricing, threads,
-    /// engine). RHC re-solves overlapping windows every slot, so the
-    /// pipeline's warm-started sweeps and a caching oracle both pay off
-    /// here — and with [`DpOptions::engine`] the priced-slot pool
-    /// carries each slot's dense `g_t` table across windows, so the
-    /// `w − 1` overlapping slots of consecutive windows are re-priced
-    /// by a vectorized add instead of per-cell solves.
+    /// Options for the window DP (grid, threads, pool capacity,
+    /// refinement). RHC re-solves overlapping windows every slot; the
+    /// priced-slot pool carries each slot's dense `g_t` table across
+    /// windows, so the `w − 1` overlapping slots of consecutive windows
+    /// are re-priced by a vectorized add instead of per-cell solves.
     pub options: DpOptions,
     prev: Option<Config>,
-    /// Priced-slot pool (engine and refine modes), initialized lazily at
+    /// Priced-slot pool, initialized lazily at
     /// the first decision so it binds to the instance actually driven.
     pool: Option<PricedSlotPool>,
     /// Separate pool for the refine mode's coarse `Γ(γ₀)` window solves
@@ -79,8 +77,8 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         }
     }
 
-    /// Pricing counters of the engine's priced-slot pool (`None` before
-    /// the first decision or when the engine is off).
+    /// Pricing counters of the priced-slot pool (`None` before the
+    /// first decision).
     #[must_use]
     pub fn engine_stats(&self) -> Option<rsz_offline::EngineStats> {
         self.pool.as_ref().map(PricedSlotPool::stats)
@@ -93,8 +91,8 @@ impl<O: GtOracle + Sync> RecedingHorizon<O> {
         self
     }
 
-    /// Override the window DP options wholesale (pipeline pricing,
-    /// explicit thread counts).
+    /// Override the window DP options wholesale (grid, explicit thread
+    /// counts, pool capacity, refinement).
     #[must_use]
     pub fn with_options(mut self, options: DpOptions) -> Self {
         self.options = options;
@@ -119,7 +117,7 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {
         // silently optimize against stale operating costs. The previous
         // run's window plan is stale for the same reason.
         let pool_cap = opts.pool_capacity.unwrap_or(rsz_offline::engine::DEFAULT_POOL_CAP);
-        if (opts.engine || opts.refine.is_some()) && (self.pool.is_none() || t == 0) {
+        if self.pool.is_none() || t == 0 {
             self.pool = Some(PricedSlotPool::with_capacity(instance, pool_cap));
         }
         if opts.refine.is_some() && (self.coarse_pool.is_none() || t == 0) {
@@ -141,22 +139,17 @@ impl<O: GtOracle + Sync> OnlineAlgorithm for RecedingHorizon<O> {
         if let Some(refine) = opts.refine {
             return self.decide_refined(instance, t, end, &b, &point, refine);
         }
+        let pool = self.pool.as_mut().expect("bound above");
         let mut tables: Vec<Table> = Vec::with_capacity(end - t);
         for u in t..end {
+            // Transform onto slot u's grid and fold in the pooled dense
+            // pricing — overlapping windows hit.
             let prev = tables.last().unwrap_or(&point);
-            let next = if let Some(pool) = self.pool.as_mut() {
-                // Engine path: transform onto slot u's grid and fold in
-                // the pooled dense pricing — overlapping windows hit.
-                let levels: Vec<Vec<u32>> =
-                    (0..d).map(|j| opts.grid.levels(instance.server_count(u, j))).collect();
-                let priced =
-                    pool.get_or_price(instance, &self.oracle, u, instance.load(u), &levels);
-                let mut cur = arrival_transform(prev, &levels, &b);
-                add_priced(&mut cur, &priced, 1.0);
-                cur
-            } else {
-                dp_step(prev, instance, &self.oracle, u, &b, opts)
-            };
+            let levels: Vec<Vec<u32>> =
+                (0..d).map(|j| opts.grid.levels(instance.server_count(u, j))).collect();
+            let priced = pool.get_or_price(instance, &self.oracle, u, instance.load(u), &levels);
+            let mut next = arrival_transform(prev, &levels, &b);
+            add_priced(&mut next, &priced, 1.0);
             tables.push(next);
         }
         let plan = backtrack_window(instance, &tables);
@@ -365,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_pool_rebinds_per_run_and_never_serves_stale_prices() {
+    fn pool_rebinds_per_run_and_never_serves_stale_prices() {
         // Same fleet shape, different operating costs: a controller
         // re-driven over the second instance must not answer windows
         // from the first instance's pooled g_t tables.
@@ -380,7 +373,7 @@ mod tests {
             .build()
             .unwrap();
         let oracle = Dispatcher::new();
-        let opts = DpOptions { engine: true, parallel: false, ..DpOptions::default() };
+        let opts = DpOptions { parallel: false, ..DpOptions::default() };
         let mut reused = RecedingHorizon::new(oracle, 2).with_options(opts);
         let _ = run(&cheap, &mut reused, &oracle);
         reused.prev = None; // fresh run; the pool must rebind on t = 0 too
@@ -437,18 +430,21 @@ mod tests {
     }
 
     #[test]
-    fn cached_oracle_matches_and_reuses_overlapping_windows() {
-        // Consecutive RHC windows overlap in w−1 slots; a shared g_t
-        // cache answers the re-solved slots without re-dispatching.
+    fn cached_oracle_matches_and_pool_reuses_overlapping_windows() {
+        // Consecutive RHC windows overlap in w−1 slots; the priced-slot
+        // pool answers the re-solved slots without re-pricing, so each
+        // slot reaches the oracle at most once per run, cached or not.
         let inst = instance();
         let oracle = Dispatcher::new();
         let cached = rsz_dispatch::CachedDispatcher::new(&inst);
         for w in [2, 4] {
-            let plain_run = run(&inst, &mut RecedingHorizon::new(oracle, w), &oracle);
+            let mut plain = RecedingHorizon::new(oracle, w);
+            let plain_run = run(&inst, &mut plain, &oracle);
             let cached_run = run(&inst, &mut RecedingHorizon::new(cached.clone(), w), &oracle);
             assert_eq!(plain_run.schedule, cached_run.schedule, "w={w}");
+            let stats = plain.engine_stats().expect("decided at least once");
+            assert!(stats.pricings <= inst.horizon() as u64, "w={w}: {stats:?}");
+            assert!(stats.pool_hits > stats.pricings, "w={w}: overlap should dominate: {stats:?}");
         }
-        let stats = cached.stats();
-        assert!(stats.hits > stats.misses, "window overlap should dominate: {stats:?}");
     }
 }

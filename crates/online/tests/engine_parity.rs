@@ -1,21 +1,20 @@
-//! Engine parity: the online decision engine (in-place stepping, dense
-//! priced-slot reuse, sub-slot replay) must be a pure performance
-//! change. For every algorithm (A, B, C, LCP, RHC), every grid (Full,
-//! Gamma(1.5)) and every oracle (plain, cached), engine-on and
-//! engine-off runs must commit **identical schedules**, and the prefix
-//! tables themselves must agree to the documented relative `1e-9` sweep
-//! tolerance.
+//! Solver-path parity: the prefix solver's pooled dense pricing must
+//! agree with the per-cell reference recurrence
+//! ([`rsz_offline::dp::forward_tables`]) to the documented relative
+//! `1e-9` sweep tolerance with identical argmins, Algorithm C must price
+//! each original slot exactly once, and RHC's corridor-banded windows
+//! must commit exactly the plain window DP's schedule. Schedules of
+//! every algorithm are pinned against the per-cell path by
+//! `tests/decision_fixture.rs` at the workspace root.
 
 use proptest::prelude::*;
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
 use rsz_dispatch::{CachedDispatcher, Dispatcher};
-use rsz_offline::dp::DpOptions;
+use rsz_offline::dp::{forward_tables, DpOptions};
 use rsz_offline::{GridMode, PrefixDp};
-use rsz_online::algo_a::{AOptions, AlgorithmA};
-use rsz_online::algo_b::AlgorithmB;
 use rsz_online::algo_c::{AlgorithmC, COptions};
 use rsz_online::runner::run;
-use rsz_online::{LazyCapacityProvisioning, RecedingHorizon};
+use rsz_online::RecedingHorizon;
 
 #[derive(Clone, Debug)]
 struct Spec {
@@ -91,104 +90,8 @@ fn time_dependent(spec: &Spec) -> Instance {
         .expect("feasible by construction")
 }
 
-/// Drive `(engine_on, cached)` combinations and compare schedules.
-fn assert_engine_parity<F>(inst: &Instance, label: &str, mut drive: F)
-where
-    F: FnMut(&Instance, bool, bool) -> rsz_core::Schedule,
-{
-    for cached in [false, true] {
-        let off = drive(inst, false, cached);
-        let on = drive(inst, true, cached);
-        assert_eq!(off, on, "{label} cached={cached}: engine changed the schedule");
-    }
-}
-
-fn a_options(engine: bool, grid: GridMode) -> AOptions {
-    AOptions { grid, engine, ..AOptions::default() }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Algorithms A (time-independent), B and C (time-dependent), over
-    /// both grids and both oracles: engine on/off schedules identical.
-    #[test]
-    fn algorithms_abc_schedules_invariant_under_engine(spec in spec_strategy(2, 7)) {
-        for grid in [GridMode::Full, GridMode::Gamma(1.5)] {
-            let ti = time_independent(&spec);
-            assert_engine_parity(&ti, "A", |inst, engine, cached| {
-                let opts = a_options(engine, grid);
-                if cached {
-                    let oracle = CachedDispatcher::new(inst);
-                    let mut a = AlgorithmA::new(inst, oracle.clone(), opts);
-                    run(inst, &mut a, &oracle).schedule
-                } else {
-                    let oracle = Dispatcher::new();
-                    let mut a = AlgorithmA::new(inst, oracle, opts);
-                    run(inst, &mut a, &oracle).schedule
-                }
-            });
-
-            let td = time_dependent(&spec);
-            assert_engine_parity(&td, "B", |inst, engine, cached| {
-                let opts = a_options(engine, grid);
-                if cached {
-                    let oracle = CachedDispatcher::new(inst);
-                    let mut b = AlgorithmB::new(inst, oracle.clone(), opts);
-                    run(inst, &mut b, &oracle).schedule
-                } else {
-                    let oracle = Dispatcher::new();
-                    let mut b = AlgorithmB::new(inst, oracle, opts);
-                    run(inst, &mut b, &oracle).schedule
-                }
-            });
-
-            assert_engine_parity(&td, "C", |inst, engine, cached| {
-                let opts = COptions { epsilon: 0.5, base: a_options(engine, grid), ..Default::default() };
-                if cached {
-                    let oracle = CachedDispatcher::new(inst);
-                    let mut c = AlgorithmC::new(inst, oracle.clone(), opts);
-                    run(inst, &mut c, &oracle).schedule
-                } else {
-                    let oracle = Dispatcher::new();
-                    let mut c = AlgorithmC::new(inst, oracle, opts);
-                    run(inst, &mut c, &oracle).schedule
-                }
-            });
-        }
-    }
-
-    /// LCP (d = 1) and RHC: engine on/off schedules identical.
-    #[test]
-    fn lcp_and_rhc_schedules_invariant_under_engine(spec in spec_strategy(1, 7), window in 1usize..4) {
-        let ti = time_independent(&spec);
-        assert_engine_parity(&ti, "LCP", |inst, engine, cached| {
-            let opts = DpOptions { engine, parallel: false, ..DpOptions::default() };
-            if cached {
-                let oracle = CachedDispatcher::new(inst);
-                let mut l = LazyCapacityProvisioning::with_options(inst, oracle.clone(), opts);
-                run(inst, &mut l, &oracle).schedule
-            } else {
-                let oracle = Dispatcher::new();
-                let mut l = LazyCapacityProvisioning::with_options(inst, oracle, opts);
-                run(inst, &mut l, &oracle).schedule
-            }
-        });
-
-        let td = time_dependent(&spec);
-        assert_engine_parity(&td, "RHC", |inst, engine, cached| {
-            let opts = DpOptions { engine, parallel: false, ..DpOptions::default() };
-            if cached {
-                let oracle = CachedDispatcher::new(inst);
-                let mut r = RecedingHorizon::new(oracle.clone(), window).with_options(opts);
-                run(inst, &mut r, &oracle).schedule
-            } else {
-                let oracle = Dispatcher::new();
-                let mut r = RecedingHorizon::new(oracle, window).with_options(opts);
-                run(inst, &mut r, &oracle).schedule
-            }
-        });
-    }
 
     /// RHC with corridor-banded windows (`DpOptions::refine`) commits
     /// exactly the plain window DP's schedule, over both grids and both
@@ -228,34 +131,35 @@ proptest! {
         }
     }
 
-    /// The rolling prefix tables themselves agree cell-by-cell within
-    /// the sweep tolerance, engine-on vs engine-off, on both cost
-    /// shapes.
+    /// The rolling prefix tables agree cell-by-cell with the per-cell
+    /// reference recurrence within the sweep tolerance, with identical
+    /// argmins, on both cost shapes and both grids.
     #[test]
     fn prefix_tables_match_within_tolerance(spec in spec_strategy(2, 7)) {
         for inst in [time_independent(&spec), time_dependent(&spec)] {
-            let oracle = Dispatcher::new();
-            let base = DpOptions { parallel: false, ..DpOptions::default() };
-            let mut legacy = PrefixDp::new(&inst, base);
-            let mut engine = PrefixDp::new(&inst, DpOptions { engine: true, ..base });
-            for t in 0..inst.horizon() {
-                let a = legacy.step(&inst, &oracle, t);
-                let b = engine.step(&inst, &oracle, t);
-                prop_assert_eq!(a, b, "t={}: prefix argmin diverged", t);
-                prop_assert_eq!(legacy.table().len(), engine.table().len());
-                for i in 0..legacy.table().len() {
-                    let (x, y) = (legacy.table().values()[i], engine.table().values()[i]);
-                    prop_assert!(
-                        (x == y) || (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                        "t={} cell {}: {} vs {}", t, i, x, y
-                    );
+            for grid in [GridMode::Full, GridMode::Gamma(1.5)] {
+                let oracle = Dispatcher::new();
+                let opts = DpOptions { grid, parallel: false, ..DpOptions::default() };
+                let reference = forward_tables(&inst, &oracle, opts);
+                let mut prefix = PrefixDp::new(&inst, opts);
+                for (t, want) in reference.iter().enumerate() {
+                    let got = prefix.step(&inst, &oracle, t);
+                    let argmin = want.argmin().expect("feasible prefix");
+                    prop_assert_eq!(got, want.config_of(argmin), "t={}: prefix argmin diverged", t);
+                    prop_assert_eq!(prefix.table().len(), want.len());
+                    for (i, (&x, &y)) in want.values().iter().zip(prefix.table().values()).enumerate() {
+                        prop_assert!(
+                            (x == y) || (x - y).abs() <= 1e-9 * x.abs().max(1.0),
+                            "t={} cell {}: {} vs {}", t, i, x, y
+                        );
+                    }
                 }
             }
         }
     }
 
-    /// Algorithm C with the engine prices each original slot exactly
-    /// once, whatever ñ_t the refinement picks.
+    /// Algorithm C prices each original slot exactly once, whatever ñ_t
+    /// the refinement picks.
     #[test]
     fn algorithm_c_prices_each_slot_once(spec in spec_strategy(2, 7), eps in 0.1..1.0_f64) {
         let inst = time_dependent(&spec);
@@ -263,11 +167,11 @@ proptest! {
         let mut c = AlgorithmC::new(
             &inst,
             oracle,
-            COptions { epsilon: eps, base: AOptions::engined(), ..Default::default() },
+            COptions { epsilon: eps, ..Default::default() },
         );
         let _ = run(&inst, &mut c, &oracle);
         let subslots: usize = c.subslot_log().iter().sum();
-        let stats = c.engine_stats().expect("engine on");
+        let stats = c.engine_stats();
         prop_assert_eq!(
             stats.pricings,
             inst.horizon() as u64,

@@ -256,7 +256,6 @@ impl Client {
             ("tenant", json::s(tenant)),
             ("fleet", json::s(&spec.fleet)),
             ("algo", json::s(&spec.algo)),
-            ("engine", Json::Bool(spec.engine)),
             ("cache", Json::Bool(spec.cache)),
             ("grid", json::s(spec.grid.to_wire())),
         ];

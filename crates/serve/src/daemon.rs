@@ -700,14 +700,11 @@ impl Daemon {
         Ok(())
     }
 
-    /// Point the tenant's engine at the pool shared by every tenant
+    /// Point the tenant's prefix solver at the pool shared by every tenant
     /// with the same `(fleet, grid)` key. Sound because pricing is a
     /// pure function of `(partition, λ, grid)`: pool contents change
     /// hit rates, never decisions.
     fn install_pool(&self, st: &TenantState, instance: &Instance, degrader: &mut TenantDegrader) {
-        if !st.spec.engine {
-            return;
-        }
         let key = st.spec.pool_key();
         let pool = {
             let mut pools = lock_clean(&self.pools);
@@ -1871,6 +1868,28 @@ mod tests {
         assert!(reply.contains("injected fault"), "{reply}");
         // The daemon itself stays healthy.
         assert!(daemon.handle("GET /health").contains("\"ok\":true"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_register_lines_engine_key_is_ignored() {
+        // Earlier clients sent `"engine":true|false`; there is one
+        // pricing path now, so either value names the same spec and
+        // re-attaches to the tenant.
+        let dir = tmp_dir("engine-key");
+        let daemon = Daemon::new(options(&dir)).unwrap();
+        let reg = |engine: &str| {
+            format!(
+                r#"{{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","engine":{engine}}}"#
+            )
+        };
+        let v = json::parse(&daemon.handle(&reg("true"))).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+        let tick = r#"{"op":"tick","tenant":"t","seq":0,"load":1.5}"#;
+        let _ = decided_counts(&daemon.handle(tick));
+        let v = json::parse(&daemon.handle(&reg("false"))).unwrap();
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+        assert_eq!(v.get("resumed_ticks").and_then(Json::as_u64), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -211,7 +211,6 @@ mod tests {
         TenantSpec {
             fleet: "homogeneous:4".into(),
             algo: "b".into(),
-            engine: true,
             cache: false,
             grid: GridSpec::Full,
             deadline_us: None,

@@ -1,7 +1,7 @@
 //! Tenant specifications and boxed controllers.
 //!
 //! A tenant registers with a *spec*: fleet preset, algorithm, grid,
-//! engine/cache toggles, an optional per-decision deadline and a
+//! cache toggle, an optional per-decision deadline and a
 //! snapshot cadence. The spec is the unit of determinism — the WAL
 //! records it verbatim, recovery rebuilds the controller from it, and
 //! two tenants with byte-equal `(fleet, grid)` halves share one priced
@@ -79,8 +79,6 @@ pub struct TenantSpec {
     /// Algorithm spec: `a`, `b`, `c[:EPS]`, `lcp`, `rhc[:WINDOW]` —
     /// plus the fault hook `panic:T` when the daemon allows it.
     pub algo: String,
-    /// Price through the online decision engine (priced-slot pool).
-    pub engine: bool,
     /// Wrap the oracle in a `CachedDispatcher`.
     pub cache: bool,
     /// Prefix-solver grid.
@@ -151,10 +149,14 @@ impl TenantSpec {
     }
 
     /// Serialize into a WAL/snapshot payload.
+    ///
+    /// The byte after the algorithm once selected the pricing path; it
+    /// is written as `1` (the only path left) so registrations stay
+    /// byte-identical to those of earlier daemons.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_bytes(self.fleet.as_bytes());
         enc.put_bytes(self.algo.as_bytes());
-        enc.put_u8(u8::from(self.engine));
+        enc.put_u8(1);
         enc.put_u8(u8::from(self.cache));
         match self.grid {
             GridSpec::Full => enc.put_u8(0),
@@ -167,11 +169,15 @@ impl TenantSpec {
         enc.put_usize(self.snapshot_every);
     }
 
-    /// Decode a payload written by [`TenantSpec::encode`].
+    /// Decode a payload written by [`TenantSpec::encode`] — or by an
+    /// earlier daemon, whose pricing-path byte may be 0 or 1 and is
+    /// ignored either way.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
         let fleet = wire::take_str(dec, "fleet spec")?;
         let algo = wire::take_str(dec, "algo spec")?;
-        let engine = dec.take_u8()? != 0;
+        if dec.take_u8()? > 1 {
+            return Err(SnapshotError::Corrupt("unknown pricing-path tag"));
+        }
         let cache = dec.take_u8()? != 0;
         let grid = match dec.take_u8()? {
             0 => GridSpec::Full,
@@ -183,7 +189,7 @@ impl TenantSpec {
             v => Some(v),
         };
         let snapshot_every = dec.take_usize()?;
-        Ok(Self { fleet, algo, engine, cache, grid, deadline_us, snapshot_every })
+        Ok(Self { fleet, algo, cache, grid, deadline_us, snapshot_every })
     }
 }
 
@@ -225,7 +231,7 @@ pub trait ServeController: Send {
     ) -> Result<(), SnapshotError>;
     fn ctl_engine_stats(&self) -> Option<EngineStats>;
     /// Install a shared pricing pool; `false` when the controller does
-    /// not pool (engine off, or a windowed solver with internal pools).
+    /// not pool (a windowed solver with internal pools).
     fn ctl_share_pool(&mut self, pool: SharedSlotPool) -> bool;
 }
 
@@ -252,10 +258,11 @@ macro_rules! impl_serve_controller {
                 Checkpoint::restore_state(self, instance, dec)
             }
             fn ctl_engine_stats(&self) -> Option<EngineStats> {
-                self.engine_stats()
+                Some(self.engine_stats())
             }
             fn ctl_share_pool(&mut self, pool: SharedSlotPool) -> bool {
-                self.share_pool(pool)
+                self.share_pool(pool);
+                true
             }
         }
     };
@@ -399,7 +406,7 @@ pub fn build_controller(
     instance: &Instance,
     grid: GridMode,
 ) -> Result<BoxController, String> {
-    let aopts = AOptions { grid, engine: spec.engine, ..AOptions::default() };
+    let aopts = AOptions { grid, ..AOptions::default() };
     let param = algo_param(&spec.algo)?;
     let boxed: Box<dyn ServeController> = match (base_algo(&spec.algo), spec.cache) {
         ("a", false) => Box::new(AlgorithmA::new(instance, Dispatcher::new(), aopts)),
@@ -463,7 +470,6 @@ mod tests {
         TenantSpec {
             fleet: "cpu-gpu:3,1".into(),
             algo: algo.into(),
-            engine: true,
             cache: false,
             grid: GridSpec::Full,
             deadline_us: None,

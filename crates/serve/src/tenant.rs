@@ -333,7 +333,6 @@ mod tests {
             spec: crate::spec::TenantSpec {
                 fleet: "homogeneous:2".into(),
                 algo: "b".into(),
-                engine: true,
                 cache: false,
                 grid: crate::spec::GridSpec::Full,
                 deadline_us: None,

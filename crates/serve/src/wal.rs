@@ -302,7 +302,6 @@ mod tests {
         TenantSpec {
             fleet: "homogeneous:4".into(),
             algo: "b".into(),
-            engine: true,
             cache: false,
             grid: GridSpec::Full,
             deadline_us: None,
@@ -415,6 +414,33 @@ mod tests {
         let w = WalWriter::open(&path, false).unwrap();
         assert_eq!(w.bytes(), after_one, "reopen must resume the on-disk size");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn register_records_decode_with_either_pricing_path_byte() {
+        // Earlier daemons wrote a per-spec pricing-path byte (0 or 1)
+        // after the algorithm; both decode to the same spec, and
+        // today's records are byte-identical to the `1` form.
+        let s = spec();
+        let legacy = |byte: u8| {
+            let mut enc = Encoder::new();
+            enc.put_u8(1); // Register tag
+            enc.put_bytes(s.fleet.as_bytes());
+            enc.put_bytes(s.algo.as_bytes());
+            enc.put_u8(byte);
+            enc.put_u8(0); // no cache
+            enc.put_u8(0); // full grid
+            enc.put_u64(u64::MAX); // no deadline
+            enc.put_usize(0); // snapshot cadence
+            frame_payload(enc.payload())
+        };
+        assert_eq!(frame(&WalRecord::Register(s.clone())), legacy(1));
+        for byte in [0, 1] {
+            let scanned = scan(&legacy(byte));
+            assert_eq!(scanned.tail, WalTail::Clean, "byte {byte}");
+            assert_eq!(scanned.records, vec![WalRecord::Register(s.clone())], "byte {byte}");
+        }
+        assert!(matches!(scan(&legacy(2)).tail, WalTail::Corrupt { .. }));
     }
 
     #[test]

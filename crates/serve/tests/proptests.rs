@@ -31,7 +31,6 @@ fn spec() -> TenantSpec {
     TenantSpec {
         fleet: "cpu-gpu:2,1".into(),
         algo: "b".into(),
-        engine: true,
         cache: false,
         grid: GridSpec::Full,
         deadline_us: None,

@@ -45,11 +45,11 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  rsz solve    --trace FILE --fleet PRESET --algorithm ALGO [--cache] [--pipeline]
+  rsz solve    --trace FILE --fleet PRESET --algorithm ALGO [--cache]
                [--refine] [--refine-gamma G] [--refine-epsilon E]
                [--repair POLICY] [--threads N] [--out FILE] [--chart]
   rsz simulate --trace FILE --fleet PRESET --algo {a|b|c[:EPS]|lcp|rhc[:W]}
-               [--engine] [--cache] [--pipeline] [--refine] [--repair POLICY]
+               [--cache] [--refine] [--repair POLICY]
                [--resume FILE] [--snapshot-every K] [--out FILE]
                [--remote ADDR [--tenant NAME] [--peers A,B,...]]
   rsz serve    [--addr HOST:PORT] [--state-dir DIR] [--deadline-us N]
@@ -82,12 +82,10 @@ mismatched snapshot exits with code 3 — it never resumes into garbage.
 (shared across all slots when costs are time-independent) and reports
 the cache hit rate alongside the cost summary.
 
---pipeline prices g_t through the slot-batched pipeline (barrier-free
+solve prices g_t through the slot-batched pipeline (barrier-free
 slot-parallel pricing, warm-started KKT row sweeps, per-day slot reuse
-on repeating traces); costs agree with the legacy path to a relative
-1e-9, and epsilon-tolerant tie-breaks keep the recovered schedule
-matching the legacy path's (gated on every bench workload). --threads N
-pins the solver's worker count (default: all cores for large grids).
+on repeating traces). --threads N pins the solver's worker count
+(default: all cores for large grids).
 
 rsz serve hosts many independent tenants (fleet + controller + its own
 telemetry stream) behind a line-delimited JSON protocol with a
@@ -127,13 +125,11 @@ speed: one coarse + one banded pass within (1+E) of optimal
 
 simulate drives an online controller slot by slot with a wall clock
 around every decision and reports per-decision latency percentiles.
---engine switches the prefix solvers onto the online decision engine:
-in-place (allocation-free) DP stepping plus a pooled dense pricing
-table per (slot, λ, grid) — recurring loads and Algorithm C's sub-slot
-replays fold a priced slot in with one vectorized add instead of
-per-cell dispatch solves. Decisions are identical with the engine on or
-off (property-tested); lcp needs a homogeneous fleet, rhc:W sets the
-forecast window (default 8). With --refine, rhc's window DP runs the
+The prefix solvers step in place (allocation-free) with a pooled dense
+pricing table per (slot, λ, grid): recurring loads and Algorithm C's
+sub-slot replays fold a priced slot in with one vectorized add instead
+of per-cell dispatch solves. lcp needs a homogeneous fleet, rhc:W sets
+the forecast window (default 8). With --refine, rhc's window DP runs the
 corridor solver: bands warm-start from the previous window's plan and
 overlapping windows answer from the band-keyed pricing pool (identical
 decisions, property-tested; other algorithms step the full grid and
@@ -216,12 +212,7 @@ fn solve(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(&e),
     };
-    let dp_opts = DpOptions {
-        pipeline: has_flag(args, "--pipeline"),
-        threads,
-        refine,
-        ..DpOptions::default()
-    };
+    let dp_opts = DpOptions { threads, refine, ..DpOptions::default() };
     // Pre-flight: malformed λ / empty grids surface as a SolveError with
     // exit code 3 instead of a panic deep inside the DP.
     if let Err(e) = offline::validate_for_solve(&instance, dp_opts) {
@@ -262,7 +253,6 @@ fn solve_with<O: GtOracle + Sync + Clone>(
     // Online algorithms run the same knobs through their prefix solver.
     let online_opts = heterogeneous_rightsizing::online::algo_a::AOptions {
         threads: dp_opts.threads,
-        pipeline: dp_opts.pipeline,
         ..Default::default()
     };
     let (name, schedule): (String, Schedule) = match algo_spec.split_once(':') {
@@ -453,11 +443,7 @@ fn simulate(args: &[String]) -> ExitCode {
         Some(a) => a,
         None => return fail("--algo {a|b|c[:EPS]|lcp|rhc[:W]} is required"),
     };
-    let online_opts = heterogeneous_rightsizing::online::algo_a::AOptions {
-        engine: has_flag(args, "--engine"),
-        pipeline: has_flag(args, "--pipeline"),
-        ..Default::default()
-    };
+    let online_opts = heterogeneous_rightsizing::online::algo_a::AOptions::default();
     let refine = match parse_refine(args) {
         Ok(r) => r,
         Err(e) => return fail(&e),
@@ -493,7 +479,8 @@ fn simulate(args: &[String]) -> ExitCode {
 
 /// Build the requested controller, drive it with the instrumented
 /// runner, and print the latency/cost report. Each arm returns the run,
-/// its latency profile, and the engine's pricing counters (when on).
+/// its latency profile, and the pricing pool's counters (`None` for an
+/// RHC run that never decided).
 fn simulate_with<O: GtOracle + Sync + Clone>(
     instance: &Instance,
     oracle: O,
@@ -517,7 +504,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                     Ok(rp) => rp,
                     Err(code) => return code,
                 };
-                (run, profile, a.engine_stats())
+                (run, profile, Some(a.engine_stats()))
             }
             ("b", None) => {
                 let mut b = AlgorithmB::new(instance, oracle.clone(), online_opts);
@@ -525,8 +512,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                     Ok(rp) => rp,
                     Err(code) => return code,
                 };
-                let stats = b.core().prefix().engine_stats();
-                (run, profile, stats)
+                (run, profile, Some(b.engine_stats()))
             }
             ("c", param) => {
                 let eps = match param.map(str::parse::<f64>) {
@@ -543,8 +529,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                     Ok(rp) => rp,
                     Err(code) => return code,
                 };
-                let stats = c.engine_stats();
-                (run, profile, stats)
+                (run, profile, Some(c.engine_stats()))
             }
             ("lcp", None) => {
                 if instance.num_types() != 1 {
@@ -556,8 +541,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                     Ok(rp) => rp,
                     Err(code) => return code,
                 };
-                let stats = l.engine_stats();
-                (run, profile, stats)
+                (run, profile, Some(l.engine_stats()))
             }
             ("rhc", param) => {
                 let window = match param.map(str::parse::<usize>) {
@@ -745,7 +729,6 @@ fn simulate_remote(addr: &str, args: &[String]) -> ExitCode {
     let spec = TenantSpec {
         fleet: fleet_spec,
         algo,
-        engine: has_flag(args, "--engine"),
         cache: has_flag(args, "--cache"),
         grid: GridSpec::Full,
         deadline_us,

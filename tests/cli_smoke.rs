@@ -81,7 +81,7 @@ fn generate_then_solve_round_trip() {
 }
 
 #[test]
-fn simulate_reports_latency_and_engine_parity() {
+fn simulate_reports_latency_and_cache_parity() {
     let dir = std::env::temp_dir().join(format!("rsz-simulate-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let trace: PathBuf = dir.join("trace.csv");
@@ -95,10 +95,11 @@ fn simulate_reports_latency_and_engine_parity() {
     let total_line = |s: &str| {
         s.lines().find(|l| l.starts_with("total cost:")).map(str::to_owned).expect("total line")
     };
-    // Engine off vs on: identical cost, both with a latency report; the
-    // engine run additionally prints its pricing counters.
+    // Cache off vs on: identical cost, both with a latency report and
+    // the pricing pool's counters; the cached run additionally prints
+    // its cache counters.
     let mut outputs = Vec::new();
-    for engine in [false, true] {
+    for cache in [false, true] {
         let mut cmd = rsz();
         cmd.args(["simulate", "--trace", trace.to_str().unwrap()]).args([
             "--fleet",
@@ -106,22 +107,23 @@ fn simulate_reports_latency_and_engine_parity() {
             "--algo",
             "c:0.5",
         ]);
-        if engine {
-            cmd.arg("--engine");
+        if cache {
+            cmd.arg("--cache");
         }
         let out = cmd.output().expect("spawn rsz simulate");
         assert!(
             out.status.success(),
-            "simulate engine={engine} failed: {}",
+            "simulate cache={cache} failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
         assert!(stdout.contains("decision latency"), "missing latency report: {stdout}");
         assert!(stdout.contains("p99"), "missing percentiles: {stdout}");
-        assert_eq!(stdout.contains("engine pricing:"), engine, "engine stats gating: {stdout}");
+        assert!(stdout.contains("engine pricing:"), "missing engine stats: {stdout}");
+        assert_eq!(stdout.contains("g_t cache:"), cache, "cache stats gating: {stdout}");
         outputs.push(stdout);
     }
-    assert_eq!(total_line(&outputs[0]), total_line(&outputs[1]), "--engine changed the cost");
+    assert_eq!(total_line(&outputs[0]), total_line(&outputs[1]), "--cache changed the cost");
 
     // LCP requires a homogeneous fleet and says so.
     let lcp = rsz()
@@ -136,24 +138,24 @@ fn simulate_reports_latency_and_engine_parity() {
         String::from_utf8_lossy(&lcp.stderr)
     );
 
-    // LCP on a homogeneous fleet with the engine reports its pricing.
+    // LCP on a homogeneous fleet reports its pricing.
     let lcp_ok = rsz()
         .args(["simulate", "--trace", trace.to_str().unwrap()])
-        .args(["--fleet", "homogeneous:6", "--algo", "lcp", "--engine"])
+        .args(["--fleet", "homogeneous:6", "--algo", "lcp"])
         .output()
-        .expect("spawn rsz simulate lcp --engine");
+        .expect("spawn rsz simulate lcp");
     assert!(
         lcp_ok.status.success(),
-        "simulate lcp --engine failed: {}",
+        "simulate lcp failed: {}",
         String::from_utf8_lossy(&lcp_ok.stderr)
     );
     let lcp_out = String::from_utf8_lossy(&lcp_ok.stdout);
     assert!(lcp_out.contains("engine pricing:"), "missing LCP engine stats: {lcp_out}");
 
-    // RHC with an explicit window, engine + cache stacked.
+    // RHC with an explicit window, pool + cache stacked.
     let rhc = rsz()
         .args(["simulate", "--trace", trace.to_str().unwrap()])
-        .args(["--fleet", "homogeneous:6", "--algo", "rhc:3", "--engine", "--cache"])
+        .args(["--fleet", "homogeneous:6", "--algo", "rhc:3", "--cache"])
         .output()
         .expect("spawn rsz simulate rhc");
     assert!(rhc.status.success(), "simulate rhc failed: {}", String::from_utf8_lossy(&rhc.stderr));

@@ -67,104 +67,57 @@ fn schedules_identical_across_parallelism_and_caching() {
 }
 
 #[test]
-fn schedules_identical_across_pipeline_parallelism_and_caching() {
-    // The full mode matrix {pipeline on/off} × {parallel on/off} ×
-    // {cache on/off} must recover the SAME schedule. Costs are
-    // bit-identical within the cold modes and within a relative 1e-9 of
-    // the reference when the pipeline's warm-started KKT sweeps are on
-    // (the documented sweep parity bound).
-    let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
-    let plain = Dispatcher::new();
-    let reference = solve(&inst, &plain, DpOptions { parallel: false, ..Default::default() });
-    for pipeline in [false, true] {
-        for parallel in [false, true] {
-            let opts = DpOptions { pipeline, parallel, ..Default::default() };
-            let uncached = solve(&inst, &plain, opts);
-            assert_eq!(
-                reference.schedule, uncached.schedule,
-                "pipeline={pipeline} parallel={parallel} uncached"
-            );
-            assert!(
-                (reference.cost - uncached.cost).abs() <= 1e-9 * reference.cost.abs().max(1.0),
-                "pipeline={pipeline} parallel={parallel}: {} vs {}",
-                reference.cost,
-                uncached.cost
-            );
-            let cache = CachedDispatcher::new(&inst);
-            let cached = solve(&inst, &cache, opts);
-            assert_eq!(
-                reference.schedule, cached.schedule,
-                "pipeline={pipeline} parallel={parallel} cached"
-            );
-            assert!(
-                (reference.cost - cached.cost).abs() <= 1e-9 * reference.cost.abs().max(1.0),
-                "pipeline={pipeline} parallel={parallel} cached: {} vs {}",
-                reference.cost,
-                cached.cost
-            );
-        }
-    }
-}
-
-#[test]
 fn scalar_and_simd_kernels_are_bit_identical_across_the_mode_matrix() {
     // The kernel-layer contract: forcing every kernel (and the transform
     // / band-slice layout paths) onto the scalar reference twins must
     // reproduce the lanes solve **bit for bit** — same schedule, same
-    // cost bits — across the full mode matrix {pipeline} × {parallel} ×
-    // {cache} × {refine}. This is what lets the SIMD refactor ship
-    // without a tolerance bump anywhere.
+    // cost bits — across the full mode matrix {parallel} × {cache} ×
+    // {refine}. This is what lets the SIMD refactor ship without a
+    // tolerance bump anywhere.
     use heterogeneous_rightsizing::offline::kernels::force_scalar;
     use heterogeneous_rightsizing::offline::refine::RefineOptions;
     let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
     let plain = Dispatcher::new();
-    for pipeline in [false, true] {
-        for parallel in [false, true] {
-            for refine in [false, true] {
-                for cached in [false, true] {
-                    let opts = DpOptions {
-                        pipeline,
-                        parallel,
-                        refine: refine.then(RefineOptions::exact),
-                        ..Default::default()
+    for parallel in [false, true] {
+        for refine in [false, true] {
+            for cached in [false, true] {
+                let opts = DpOptions {
+                    parallel,
+                    refine: refine.then(RefineOptions::exact),
+                    ..Default::default()
+                };
+                let run_mode = |scalar: bool| {
+                    force_scalar(scalar);
+                    let res = if cached {
+                        let cache = CachedDispatcher::new(&inst);
+                        solve(&inst, &cache, opts)
+                    } else {
+                        solve(&inst, &plain, opts)
                     };
-                    let run_mode = |scalar: bool| {
-                        force_scalar(scalar);
-                        let res = if cached {
-                            let cache = CachedDispatcher::new(&inst);
-                            solve(&inst, &cache, opts)
-                        } else {
-                            solve(&inst, &plain, opts)
-                        };
-                        force_scalar(false);
-                        res
-                    };
-                    let lanes = run_mode(false);
-                    let scalar = run_mode(true);
-                    let tag = format!(
-                        "pipeline={pipeline} parallel={parallel} refine={refine} cached={cached}"
-                    );
-                    assert_eq!(lanes.schedule, scalar.schedule, "schedule: {tag}");
-                    assert_eq!(
-                        lanes.cost.to_bits(),
-                        scalar.cost.to_bits(),
-                        "cost bits: {tag} ({} vs {})",
-                        lanes.cost,
-                        scalar.cost
-                    );
-                }
+                    force_scalar(false);
+                    res
+                };
+                let lanes = run_mode(false);
+                let scalar = run_mode(true);
+                let tag = format!("parallel={parallel} refine={refine} cached={cached}");
+                assert_eq!(lanes.schedule, scalar.schedule, "schedule: {tag}");
+                assert_eq!(
+                    lanes.cost.to_bits(),
+                    scalar.cost.to_bits(),
+                    "cost bits: {tag} ({} vs {})",
+                    lanes.cost,
+                    scalar.cost
+                );
             }
         }
     }
 }
 
 #[test]
-fn online_schedules_identical_across_engine_and_caching() {
-    // The online decision engine matrix: {engine on/off} × {cache
-    // on/off} must commit the SAME schedule for Algorithms A (time-
-    // independent) and B (time-dependent electricity prices). The
-    // engine's pooled sweep pricing carries the documented 1e-9 value
-    // tolerance; the prefix argmin's epsilon tie-break absorbs it.
+fn online_schedules_identical_across_caching() {
+    // {cache on/off} must commit the SAME schedule for Algorithms A
+    // (time-independent) and B (time-dependent electricity prices):
+    // the memoizing oracle feeds the same pooled pricing.
     let td = scenario::electricity_market(5, 24, 12, 13);
     let ti = scenario::diurnal_cpu_gpu(4, 2, 1, 12, 3);
     let plain = Dispatcher::new();
@@ -176,23 +129,21 @@ fn online_schedules_identical_across_engine_and_caching() {
         let mut b = AlgorithmB::new(&td, plain, AOptions::default());
         run(&td, &mut b, &plain)
     };
-    for engine in [false, true] {
-        for cached in [false, true] {
-            let opts = AOptions { engine, ..AOptions::default() };
-            let (got_a, got_b) = if cached {
-                let ca = CachedDispatcher::new(&ti);
-                let cb = CachedDispatcher::new(&td);
-                let mut a = AlgorithmA::new(&ti, ca.clone(), opts);
-                let mut b = AlgorithmB::new(&td, cb.clone(), opts);
-                (run(&ti, &mut a, &ca), run(&td, &mut b, &cb))
-            } else {
-                let mut a = AlgorithmA::new(&ti, plain, opts);
-                let mut b = AlgorithmB::new(&td, plain, opts);
-                (run(&ti, &mut a, &plain), run(&td, &mut b, &plain))
-            };
-            assert_eq!(ref_a.schedule, got_a.schedule, "A engine={engine} cached={cached}");
-            assert_eq!(ref_b.schedule, got_b.schedule, "B engine={engine} cached={cached}");
-        }
+    for cached in [false, true] {
+        let opts = AOptions::default();
+        let (got_a, got_b) = if cached {
+            let ca = CachedDispatcher::new(&ti);
+            let cb = CachedDispatcher::new(&td);
+            let mut a = AlgorithmA::new(&ti, ca.clone(), opts);
+            let mut b = AlgorithmB::new(&td, cb.clone(), opts);
+            (run(&ti, &mut a, &ca), run(&td, &mut b, &cb))
+        } else {
+            let mut a = AlgorithmA::new(&ti, plain, opts);
+            let mut b = AlgorithmB::new(&td, plain, opts);
+            (run(&ti, &mut a, &plain), run(&td, &mut b, &plain))
+        };
+        assert_eq!(ref_a.schedule, got_a.schedule, "A cached={cached}");
+        assert_eq!(ref_b.schedule, got_b.schedule, "B cached={cached}");
     }
 }
 

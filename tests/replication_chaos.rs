@@ -70,14 +70,13 @@ struct Combo {
     tag: &'static str,
     fleet: &'static str,
     algo: &'static str,
-    engine: bool,
 }
 
 fn combos() -> Vec<Combo> {
     let all = vec![
-        Combo { tag: "b-eng", fleet: "cpu-gpu:2,1", algo: "b", engine: true },
-        Combo { tag: "a-plain", fleet: "old-new:2,2", algo: "a", engine: false },
-        Combo { tag: "lcp", fleet: "homogeneous:4", algo: "lcp", engine: false },
+        Combo { tag: "b", fleet: "cpu-gpu:2,1", algo: "b" },
+        Combo { tag: "a", fleet: "old-new:2,2", algo: "a" },
+        Combo { tag: "lcp", fleet: "homogeneous:4", algo: "lcp" },
     ];
     if quick() {
         all.into_iter().take(1).collect()
@@ -88,8 +87,8 @@ fn combos() -> Vec<Combo> {
 
 fn register_line(tenant: &str, c: &Combo) -> String {
     format!(
-        r#"{{"op":"register","tenant":"{tenant}","fleet":"{}","algo":"{}","engine":{},"cache":false,"grid":"full"}}"#,
-        c.fleet, c.algo, c.engine
+        r#"{{"op":"register","tenant":"{tenant}","fleet":"{}","algo":"{}","cache":false,"grid":"full"}}"#,
+        c.fleet, c.algo
     )
 }
 
@@ -422,7 +421,6 @@ fn tcp_client_fails_over_transparently() {
     let spec = heterogeneous_rightsizing::serve::TenantSpec {
         fleet: c.fleet.to_owned(),
         algo: c.algo.to_owned(),
-        engine: c.engine,
         cache: false,
         grid: heterogeneous_rightsizing::serve::GridSpec::Full,
         deadline_us: None,

@@ -69,54 +69,18 @@ struct Combo {
     tag: &'static str,
     fleet: &'static str,
     algo: &'static str,
-    engine: bool,
     cache: bool,
     grid: &'static str,
 }
 
-/// {engine} × {cache} × {full, γ} across the shipping controllers.
+/// {cache} × {full, γ} across the shipping controllers.
 fn combos() -> Vec<Combo> {
     let all = vec![
-        Combo {
-            tag: "b-eng",
-            fleet: "cpu-gpu:2,1",
-            algo: "b",
-            engine: true,
-            cache: false,
-            grid: "full",
-        },
-        Combo {
-            tag: "b-gamma",
-            fleet: "cpu-gpu:2,1",
-            algo: "b",
-            engine: true,
-            cache: true,
-            grid: "gamma:2",
-        },
-        Combo {
-            tag: "a-plain",
-            fleet: "old-new:2,2",
-            algo: "a",
-            engine: false,
-            cache: false,
-            grid: "full",
-        },
-        Combo {
-            tag: "lcp",
-            fleet: "homogeneous:4",
-            algo: "lcp",
-            engine: false,
-            cache: true,
-            grid: "full",
-        },
-        Combo {
-            tag: "rhc",
-            fleet: "cpu-gpu:2,1",
-            algo: "rhc:3",
-            engine: true,
-            cache: false,
-            grid: "full",
-        },
+        Combo { tag: "b", fleet: "cpu-gpu:2,1", algo: "b", cache: false, grid: "full" },
+        Combo { tag: "b-gamma", fleet: "cpu-gpu:2,1", algo: "b", cache: true, grid: "gamma:2" },
+        Combo { tag: "a", fleet: "old-new:2,2", algo: "a", cache: false, grid: "full" },
+        Combo { tag: "lcp", fleet: "homogeneous:4", algo: "lcp", cache: true, grid: "full" },
+        Combo { tag: "rhc", fleet: "cpu-gpu:2,1", algo: "rhc:3", cache: false, grid: "full" },
     ];
     if quick() {
         all.into_iter().take(2).collect()
@@ -127,8 +91,8 @@ fn combos() -> Vec<Combo> {
 
 fn register_line(tenant: &str, c: &Combo, snapshot_every: usize) -> String {
     format!(
-        r#"{{"op":"register","tenant":"{tenant}","fleet":"{}","algo":"{}","engine":{},"cache":{},"grid":"{}","snapshot_every":{snapshot_every}}}"#,
-        c.fleet, c.algo, c.engine, c.cache, c.grid
+        r#"{{"op":"register","tenant":"{tenant}","fleet":"{}","algo":"{}","cache":{},"grid":"{}","snapshot_every":{snapshot_every}}}"#,
+        c.fleet, c.algo, c.cache, c.grid
     )
 }
 
@@ -402,7 +366,6 @@ fn dropped_connections_and_partial_writes_never_kill_the_daemon() {
     let spec = heterogeneous_rightsizing::serve::TenantSpec {
         fleet: c.fleet.to_owned(),
         algo: c.algo.to_owned(),
-        engine: c.engine,
         cache: c.cache,
         grid: heterogeneous_rightsizing::serve::GridSpec::parse(c.grid).unwrap(),
         deadline_us: None,
@@ -454,7 +417,7 @@ fn dropped_connections_and_partial_writes_never_kill_the_daemon() {
 /// pool sharing changes hit rates, never decisions.
 #[test]
 fn pool_cotenant_quarantine_mid_storm_never_perturbs_the_survivor() {
-    let c = &combos()[0]; // engine on: pool sharing is live
+    let c = &combos()[0];
     let storm = ServeOptions { pool_capacity: 2, ..Default::default() };
     let loads = loads();
 
@@ -502,21 +465,11 @@ fn deadline_none_is_bit_transparent_through_the_serve_path() {
     let types = fleet::parse("cpu-gpu:2,1").unwrap();
     let instance = Instance::builder().server_types(types).loads(loads.clone()).build().unwrap();
     let oracle = Dispatcher::new();
-    let mut local = AlgorithmB::new(
-        &instance,
-        Dispatcher::new(),
-        AOptions { engine: true, ..AOptions::default() },
-    );
+    let mut local = AlgorithmB::new(&instance, Dispatcher::new(), AOptions::default());
     let reference = run(&instance, &mut local, &oracle);
 
-    let c = Combo {
-        tag: "transparent",
-        fleet: "cpu-gpu:2,1",
-        algo: "b",
-        engine: true,
-        cache: false,
-        grid: "full",
-    };
+    let c =
+        Combo { tag: "transparent", fleet: "cpu-gpu:2,1", algo: "b", cache: false, grid: "full" };
     let dir = tmp_dir("transparent");
     let daemon = Daemon::new(options(&dir)).unwrap();
     assert_ok(&daemon.handle(&register_line("t", &c, 4)));
