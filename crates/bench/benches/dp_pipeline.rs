@@ -151,7 +151,12 @@ fn main() {
         let _ = forward_tables(inst, &Dispatcher::new(), reference_opts);
 
         // Baseline: the per-cell recurrence over a fresh g_t cache per
-        // iteration (the cache's win is intra-solve reuse).
+        // iteration (the cache's win is intra-solve reuse). This is the
+        // one non-test place the memo still runs: the recurrence re-asks
+        // every repeated (λ, x) cell, and without the memo the baseline
+        // is about 9× slower (full mode, 2 vCPUs: diurnal reference 619 →
+        // 5611 ms, bursty MMPP 96 → 842 ms), which would loosen the ≥ 2×
+        // gate about ninefold.
         let baseline = time_best(iterations, || {
             let cache = CachedDispatcher::new(inst);
             let res = backtrack(inst, &forward_tables(inst, &cache, reference_opts));

@@ -57,11 +57,11 @@ pub trait GtOracle {
     }
 
     /// `true` if repeated queries for the same `(t, λ, x)` are answered
-    /// from a memo (cache hits) rather than re-solved: replaying a slot
-    /// against a memoizing oracle costs lookups, while replaying against
-    /// a plain solver re-pays the full pricing. Informational — callers
-    /// that schedule replays may consult it. The default is `false`
-    /// (plain solvers); memoization wrappers override it.
+    /// from a memo (cache hits) rather than re-solved. Informational
+    /// only: no solver path consults it, since the priced-slot pool
+    /// already prices each repeated slot once. The default is `false`
+    /// (plain solvers); memoization wrappers override it and forwarding
+    /// wrappers pass it through.
     fn is_memoizing(&self) -> bool {
         false
     }

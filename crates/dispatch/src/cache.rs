@@ -1,16 +1,5 @@
 //! Memoized `g_t` evaluation — the dispatch cache.
 //!
-//! Every configuration priced by the offline DP or by the online
-//! algorithms' prefix solvers costs one convex dispatch solve. Those
-//! solves repeat massively:
-//!
-//! * for **time-independent** costs (Algorithm A's setting, Section 2)
-//!   `g_t(x)` depends only on `(λ_t, x)`, and real traces — diurnal,
-//!   work-week — revisit the same load values slot after slot;
-//! * Algorithm C feeds each original slot `ñ_t` times as sub-slots that
-//!   differ only in cost scale, which a uniform scale factors out of;
-//! * receding-horizon control re-solves overlapping windows every slot.
-//!
 //! [`CachedDispatcher`] wraps a [`Dispatcher`] and memoizes the
 //! **unscaled** optimum `g(λ, x)` keyed by `(slot partition, config
 //! index, λ bits)`. When the instance is time-independent all slots share
@@ -20,12 +9,16 @@
 //! [`Dispatcher::g_value`] does, so cached and uncached results are
 //! **bit-identical**.
 //!
+//! No runtime path selects it: the slot-batched pipeline and the
+//! priced-slot pool price each repeated `(λ, grid)` slot once, ahead of
+//! any memo under the oracle. It remains as the oracle under the
+//! `dp_pipeline` bench's per-cell baseline (`forward_tables` +
+//! `backtrack`), whose recurrence re-asks every repeated cell, and as a
+//! solve counter in tests.
+//!
 //! The cache is sharded behind [`RwLock`]s and shared across clones via
 //! [`Arc`]: cloning a `CachedDispatcher` is cheap and both clones hit the
-//! same entries, which is how the CLI prices a schedule with the very
-//! solves its algorithm already paid for. Hit/miss counters make the
-//! realized reuse observable (`rsz solve --cache` prints them; the
-//! `gt_cache` bench records them).
+//! same entries. Hit/miss counters make the realized reuse observable.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -32,10 +32,11 @@
 //!
 //! [`Dispatcher`] picks the right solver per call and implements
 //! [`rsz_core::GtOracle`], which is how the offline DP and the online
-//! algorithms price configurations. [`CachedDispatcher`] wraps it with a
-//! memoization layer ([`cache`]) that shares `g(λ, x)` solves across
-//! slots, sub-slots and runs, and [`SlotDispatcher`] is the
+//! algorithms price configurations. [`SlotDispatcher`] is the
 //! buffer-reusing per-slot context DP workers solve through.
+//! [`CachedDispatcher`] ([`cache`]) memoizes `g(λ, x)` solves; no runtime
+//! path selects it, and it remains as the oracle under the per-cell
+//! baseline of the `dp_pipeline` bench.
 
 #![warn(missing_docs)]
 

@@ -87,8 +87,8 @@ pub enum RecoveryMode {
     #[default]
     Auto,
     /// Always keep every `OPT_t` table: one pass, maximum memory. Pick
-    /// it when the horizon fits in memory and nothing (pricing pool,
-    /// `CachedDispatcher`) would make the replay cheap.
+    /// it when the horizon fits in memory and no pricing pool would make
+    /// the replay cheap.
     Materialized,
     /// Always checkpoint, whatever the horizon.
     Checkpointed,

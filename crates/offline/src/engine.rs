@@ -124,7 +124,7 @@ struct PoolKey {
 #[derive(Clone, Debug)]
 pub struct PricedSlotPool {
     /// `true` iff every cost is time-independent: all slots share
-    /// partition 0 (same policy as `rsz_dispatch`'s `CachedDispatcher`).
+    /// partition 0; otherwise each slot keys its own partition.
     slot_shared: bool,
     /// Mixed-radix strides over the horizon-max fleet sizes, plus the
     /// per-type bounds for validity checks against foreign instances.

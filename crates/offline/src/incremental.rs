@@ -28,10 +28,8 @@
 //! [`crate::dp::dp_step_scaled`] is the per-cell reference it is tested
 //! against.
 //!
-//! **Caching:** the oracle is passed per step, so an owner that holds a
-//! `rsz_dispatch::CachedDispatcher` and passes it every step keeps one
-//! `g_t` cache alive across all slots; the priced-slot pool composes
-//! with (and in steady state short-circuits ahead of) it.
+//! The oracle is passed per step and needs no memo of its own: the
+//! priced-slot pool already prices each repeated `(λ, grid)` slot once.
 
 use std::sync::Arc;
 
@@ -437,36 +435,6 @@ mod tests {
             // And the prefix optimum schedule ending there is feasible.
             assert!(inst.is_admissible(t, &xhat));
         }
-    }
-
-    #[test]
-    fn cached_oracle_preserves_prefix_tables_and_reuses_solves() {
-        use rsz_dispatch::CachedDispatcher;
-        let inst = instance();
-        let plain = Dispatcher::new();
-        let cached = CachedDispatcher::new(&inst);
-        let opts = DpOptions { parallel: false, ..DpOptions::default() };
-        let mut a = PrefixDp::new(&inst, opts);
-        let mut b = PrefixDp::new(&inst, opts);
-        for t in 0..inst.horizon() {
-            let xa = a.step(&inst, &plain, t);
-            let xb = b.step(&inst, &cached, t);
-            assert_eq!(xa, xb, "t={t}");
-            for i in 0..a.table().len() {
-                assert_eq!(
-                    a.table().values()[i].to_bits(),
-                    b.table().values()[i].to_bits(),
-                    "t={t} cell {i}"
-                );
-            }
-        }
-        // One cache held across all prefix steps: the time-independent
-        // instance repeats no load value here, but infeasible/feasible
-        // cells of later, larger grids still re-query earlier cells; at
-        // minimum the stats must show the cache was actually consulted.
-        let stats = cached.stats();
-        assert!(stats.misses > 0);
-        assert_eq!(stats.entries as u64, stats.misses, "every miss stores exactly one entry");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rsz_core::{CostModel, CostSpec, Instance, Schedule, ServerType};
 use rsz_dispatch::{CachedDispatcher, Dispatcher};
-use rsz_offline::dp::{betas, dp_step_scaled, forward_tables, solve, solve_cost_only, DpOptions};
+use rsz_offline::dp::{forward_tables, solve, solve_cost_only, DpOptions};
 use rsz_offline::table::Table;
 use rsz_offline::transform::{arrival_transform, arrival_transform_naive};
 use rsz_offline::{brute, graph, GridMode};
@@ -224,44 +224,6 @@ proptest! {
             let gs = solve(&inst, &cached, opts);
             prop_assert_eq!(ws.cost.to_bits(), gs.cost.to_bits());
             prop_assert_eq!(ws.schedule, gs.schedule);
-        }
-    }
-
-    /// Algorithm C's scaled sub-slot steps (`dp_step_scaled` with
-    /// overridden λ and `1/ñ` scale) are bit-identical under the cache —
-    /// the cache must partition per slot on time-dependent costs yet
-    /// share the unscaled solve across a slot's sub-slots.
-    #[test]
-    fn cached_scaled_steps_are_bit_identical(
-        spec in inst_strategy(2, 3, 4),
-        subslots in 1usize..4,
-        lambda_frac in 0.0..1.0_f64,
-    ) {
-        let inst = build(&spec);
-        let plain = Dispatcher::new();
-        let cached = CachedDispatcher::new(&inst);
-        let b = betas(&inst);
-        let opts = DpOptions { parallel: false, ..Default::default() };
-        let scale = 1.0 / subslots as f64;
-        let mut want = Table::origin(inst.num_types());
-        let mut got = Table::origin(inst.num_types());
-        for t in 0..inst.horizon() {
-            let lambda = lambda_frac * inst.load(t);
-            for _ in 0..subslots {
-                want = dp_step_scaled(&want, &inst, &plain, t, lambda, scale, &b, opts);
-                got = dp_step_scaled(&got, &inst, &cached, t, lambda, scale, &b, opts);
-                for i in 0..want.len() {
-                    prop_assert_eq!(
-                        want.values()[i].to_bits(), got.values()[i].to_bits(),
-                        "t={} cell {}", t, i
-                    );
-                }
-            }
-        }
-        // The cache must have shared solves across sub-slots.
-        if subslots > 1 {
-            let stats = cached.stats();
-            prop_assert!(stats.hits > 0, "sub-slot reuse expected, stats {:?}", stats);
         }
     }
 

@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
-use rsz_dispatch::{CachedDispatcher, Dispatcher};
+use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{solve, DpOptions};
 use rsz_offline::refine::{solve_refined, RefineOptions};
 use rsz_offline::GridMode;
@@ -85,32 +85,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Refined-exact solves are schedule-identical to unrestricted
-    /// solves across {plain, cached} oracles × {Full, Γ(1.5)} fine
-    /// targets × both cost shapes.
+    /// solves across {Full, Γ(1.5)} fine targets × both cost shapes.
     #[test]
     fn refined_exact_matches_unrestricted(
         spec in spec_strategy(2, 14, 8),
         time_dependent in prop_oneof![Just(false), Just(true)],
-        cached in prop_oneof![Just(false), Just(true)],
     ) {
         let inst = build(&spec, time_dependent);
+        let oracle = Dispatcher::new();
         for target in [GridMode::Full, GridMode::Gamma(1.5)] {
             let base = DpOptions { parallel: false, grid: target, ..DpOptions::default() };
             let refined_opts = DpOptions {
                 refine: Some(RefineOptions::exact().with_target(target)),
                 ..base
             };
-            let (want, got) = if cached {
-                let oracle = CachedDispatcher::new(&inst);
-                (solve(&inst, &oracle, base), solve(&inst, &oracle, refined_opts))
-            } else {
-                let oracle = Dispatcher::new();
-                (solve(&inst, &oracle, base), solve(&inst, &oracle, refined_opts))
-            };
+            let want = solve(&inst, &oracle, base);
+            let got = solve(&inst, &oracle, refined_opts);
             prop_assert_eq!(
                 &want.schedule, &got.schedule,
-                "target {:?} cached={} td={}: schedules diverged",
-                target, cached, time_dependent
+                "target {:?} td={}: schedules diverged",
+                target, time_dependent
             );
             prop_assert!(
                 (want.cost - got.cost).abs() <= 1e-9 * want.cost.abs().max(1.0),

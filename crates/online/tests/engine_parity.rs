@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rsz_core::{CostModel, CostSpec, Instance, ServerType};
-use rsz_dispatch::{CachedDispatcher, Dispatcher};
+use rsz_dispatch::Dispatcher;
 use rsz_offline::dp::{forward_tables, DpOptions};
 use rsz_offline::{GridMode, PrefixDp};
 use rsz_online::algo_c::{AlgorithmC, COptions};
@@ -94,39 +94,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// RHC with corridor-banded windows (`DpOptions::refine`) commits
-    /// exactly the plain window DP's schedule, over both grids and both
-    /// oracles, on time-independent and time-dependent costs alike.
+    /// exactly the plain window DP's schedule, over both grids, on
+    /// time-independent and time-dependent costs alike.
     #[test]
     fn rhc_schedules_invariant_under_refine(spec in spec_strategy(2, 7), window in 1usize..5) {
         use rsz_offline::refine::RefineOptions;
+        let oracle = Dispatcher::new();
         for inst in [time_independent(&spec), time_dependent(&spec)] {
             for target in [GridMode::Full, GridMode::Gamma(1.5)] {
-                for cached in [false, true] {
-                    let plain_opts =
-                        DpOptions { grid: target, parallel: false, ..DpOptions::default() };
-                    let refined_opts = DpOptions {
-                        refine: Some(RefineOptions::exact().with_target(target)),
-                        ..plain_opts
-                    };
-                    let (plain, refined) = if cached {
-                        let oracle = CachedDispatcher::new(&inst);
-                        let mut a =
-                            RecedingHorizon::new(oracle.clone(), window).with_options(plain_opts);
-                        let mut b =
-                            RecedingHorizon::new(oracle.clone(), window).with_options(refined_opts);
-                        (run(&inst, &mut a, &oracle).schedule, run(&inst, &mut b, &oracle).schedule)
-                    } else {
-                        let oracle = Dispatcher::new();
-                        let mut a = RecedingHorizon::new(oracle, window).with_options(plain_opts);
-                        let mut b = RecedingHorizon::new(oracle, window).with_options(refined_opts);
-                        (run(&inst, &mut a, &oracle).schedule, run(&inst, &mut b, &oracle).schedule)
-                    };
-                    prop_assert_eq!(
-                        &plain, &refined,
-                        "w={} target={:?} cached={}: banded windows changed the schedule",
-                        window, target, cached
-                    );
-                }
+                let plain_opts = DpOptions { grid: target, parallel: false, ..DpOptions::default() };
+                let refined_opts = DpOptions {
+                    refine: Some(RefineOptions::exact().with_target(target)),
+                    ..plain_opts
+                };
+                let mut a = RecedingHorizon::new(oracle, window).with_options(plain_opts);
+                let mut b = RecedingHorizon::new(oracle, window).with_options(refined_opts);
+                let plain = run(&inst, &mut a, &oracle).schedule;
+                let refined = run(&inst, &mut b, &oracle).schedule;
+                prop_assert_eq!(
+                    &plain, &refined,
+                    "w={} target={:?}: banded windows changed the schedule",
+                    window, target
+                );
             }
         }
     }

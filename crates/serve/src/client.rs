@@ -256,7 +256,6 @@ impl Client {
             ("tenant", json::s(tenant)),
             ("fleet", json::s(&spec.fleet)),
             ("algo", json::s(&spec.algo)),
-            ("cache", Json::Bool(spec.cache)),
             ("grid", json::s(spec.grid.to_wire())),
         ];
         if let Some(us) = spec.deadline_us {

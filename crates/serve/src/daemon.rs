@@ -1872,25 +1872,27 @@ mod tests {
     }
 
     #[test]
-    fn a_register_lines_engine_key_is_ignored() {
-        // Earlier clients sent `"engine":true|false`; there is one
-        // pricing path now, so either value names the same spec and
-        // re-attaches to the tenant.
-        let dir = tmp_dir("engine-key");
-        let daemon = Daemon::new(options(&dir)).unwrap();
-        let reg = |engine: &str| {
-            format!(
-                r#"{{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","engine":{engine}}}"#
-            )
-        };
-        let v = json::parse(&daemon.handle(&reg("true"))).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
-        let tick = r#"{"op":"tick","tenant":"t","seq":0,"load":1.5}"#;
-        let _ = decided_counts(&daemon.handle(tick));
-        let v = json::parse(&daemon.handle(&reg("false"))).unwrap();
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
-        assert_eq!(v.get("resumed_ticks").and_then(Json::as_u64), Some(1));
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn a_register_lines_engine_and_cache_keys_are_ignored() {
+        // Earlier clients sent `"engine"` and `"cache"` booleans; there
+        // is one pricing path over one oracle now, so `true` and `false`
+        // name the same spec and the second register re-attaches.
+        for key in ["engine", "cache"] {
+            let dir = tmp_dir(&format!("{key}-key"));
+            let daemon = Daemon::new(options(&dir)).unwrap();
+            let reg = |value: &str| {
+                format!(
+                    r#"{{"op":"register","tenant":"t","fleet":"cpu-gpu:2,1","algo":"b","{key}":{value}}}"#
+                )
+            };
+            let v = json::parse(&daemon.handle(&reg("true"))).unwrap();
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{key}");
+            let tick = r#"{"op":"tick","tenant":"t","seq":0,"load":1.5}"#;
+            let _ = decided_counts(&daemon.handle(tick));
+            let v = json::parse(&daemon.handle(&reg("false"))).unwrap();
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{key}: {v:?}");
+            assert_eq!(v.get("resumed_ticks").and_then(Json::as_u64), Some(1), "{key}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

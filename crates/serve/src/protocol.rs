@@ -154,9 +154,8 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
                 .ok_or_else(|| ParseError { detail: "register needs a `fleet` string".into() })?
                 .to_owned();
             let algo = v.get("algo").and_then(Json::as_str).unwrap_or("b").to_owned();
-            // An `engine` key (sent by earlier clients) is ignored:
-            // there is one pricing path.
-            let cache = v.get("cache").and_then(Json::as_bool).unwrap_or(false);
+            // `engine` and `cache` keys (sent by earlier clients) are
+            // ignored: there is one pricing path over one oracle.
             let grid = match v.get("grid").and_then(Json::as_str) {
                 None => GridSpec::Full,
                 Some(s) => GridSpec::parse(s).map_err(|detail| ParseError { detail })?,
@@ -175,7 +174,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             };
             Ok(Request::Register {
                 tenant,
-                spec: TenantSpec { fleet, algo, cache, grid, deadline_us, snapshot_every },
+                spec: TenantSpec { fleet, algo, grid, deadline_us, snapshot_every },
             })
         }
         "tick" => {
@@ -299,7 +298,6 @@ mod tests {
             Request::Register { tenant, spec } => {
                 assert_eq!(tenant, "t1");
                 assert_eq!(spec.algo, "b");
-                assert!(!spec.cache);
                 assert_eq!(spec.grid, GridSpec::Full);
                 assert_eq!(spec.deadline_us, None);
             }

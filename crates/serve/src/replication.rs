@@ -376,7 +376,6 @@ mod tests {
         TenantSpec {
             fleet: "homogeneous:4".into(),
             algo: "b".into(),
-            cache: false,
             grid: GridSpec::Full,
             deadline_us: None,
             snapshot_every: 0,

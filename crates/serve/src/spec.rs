@@ -1,19 +1,19 @@
 //! Tenant specifications and boxed controllers.
 //!
-//! A tenant registers with a *spec*: fleet preset, algorithm, grid,
-//! cache toggle, an optional per-decision deadline and a
-//! snapshot cadence. The spec is the unit of determinism — the WAL
-//! records it verbatim, recovery rebuilds the controller from it, and
-//! two tenants with byte-equal `(fleet, grid)` halves share one priced
-//! slot pool.
+//! A tenant registers with a *spec*: fleet preset, algorithm, grid, an
+//! optional per-decision deadline and a snapshot cadence. The spec is
+//! the unit of determinism — the WAL records it verbatim, recovery
+//! rebuilds the controller from it, and two tenants with byte-equal
+//! `(fleet, grid)` halves share one priced slot pool.
 //!
-//! [`BoxController`] erases the concrete controller type (five
-//! algorithms × two oracles) behind one object that still implements
-//! [`OnlineAlgorithm`] and [`Checkpoint`], so the daemon wraps every
-//! tenant in the same `GracefulDegrader<BoxController, _>` ladder.
+//! [`BoxController`] erases the concrete controller type (one per
+//! algorithm, each over the plain [`Dispatcher`]) behind one object that
+//! still implements [`OnlineAlgorithm`] and [`Checkpoint`], so the
+//! daemon wraps every tenant in the same
+//! `GracefulDegrader<BoxController, _>` ladder.
 
 use rsz_core::{Config, Instance, ServerType};
-use rsz_dispatch::{CachedDispatcher, Dispatcher};
+use rsz_dispatch::Dispatcher;
 use rsz_offline::{Decoder, Encoder, EngineStats, GridMode, SharedSlotPool, SnapshotError};
 use rsz_online::algo_a::AOptions;
 use rsz_online::algo_c::COptions;
@@ -79,8 +79,6 @@ pub struct TenantSpec {
     /// Algorithm spec: `a`, `b`, `c[:EPS]`, `lcp`, `rhc[:WINDOW]` —
     /// plus the fault hook `panic:T` when the daemon allows it.
     pub algo: String,
-    /// Wrap the oracle in a `CachedDispatcher`.
-    pub cache: bool,
     /// Prefix-solver grid.
     pub grid: GridSpec,
     /// Per-decision budget in µs: `None` inherits the daemon default,
@@ -150,14 +148,15 @@ impl TenantSpec {
 
     /// Serialize into a WAL/snapshot payload.
     ///
-    /// The byte after the algorithm once selected the pricing path; it
-    /// is written as `1` (the only path left) so registrations stay
-    /// byte-identical to those of earlier daemons.
+    /// The two bytes after the algorithm once selected the pricing path
+    /// and the memoizing oracle; they are written as `1` and `0` (the
+    /// only path and oracle left) so registrations stay byte-identical
+    /// to those of earlier daemons.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.put_bytes(self.fleet.as_bytes());
         enc.put_bytes(self.algo.as_bytes());
         enc.put_u8(1);
-        enc.put_u8(u8::from(self.cache));
+        enc.put_u8(0);
         match self.grid {
             GridSpec::Full => enc.put_u8(0),
             GridSpec::Gamma(g) => {
@@ -170,15 +169,17 @@ impl TenantSpec {
     }
 
     /// Decode a payload written by [`TenantSpec::encode`] — or by an
-    /// earlier daemon, whose pricing-path byte may be 0 or 1 and is
-    /// ignored either way.
+    /// earlier daemon, whose pricing-path and cache bytes may each be 0
+    /// or 1 and are ignored either way.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
         let fleet = wire::take_str(dec, "fleet spec")?;
         let algo = wire::take_str(dec, "algo spec")?;
         if dec.take_u8()? > 1 {
             return Err(SnapshotError::Corrupt("unknown pricing-path tag"));
         }
-        let cache = dec.take_u8()? != 0;
+        if dec.take_u8()? > 1 {
+            return Err(SnapshotError::Corrupt("unknown cache tag"));
+        }
         let grid = match dec.take_u8()? {
             0 => GridSpec::Full,
             1 => GridSpec::Gamma(dec.take_f64()?),
@@ -189,7 +190,7 @@ impl TenantSpec {
             v => Some(v),
         };
         let snapshot_every = dec.take_usize()?;
-        Ok(Self { fleet, algo, cache, grid, deadline_us, snapshot_every })
+        Ok(Self { fleet, algo, grid, deadline_us, snapshot_every })
     }
 }
 
@@ -218,7 +219,7 @@ fn algo_param(algo: &str) -> Result<Option<f64>, String> {
 }
 
 /// Object-safe view of a checkpointable controller — what the daemon
-/// needs from all ten concrete controller types.
+/// needs from all five concrete controller types.
 pub trait ServeController: Send {
     fn ctl_name(&self) -> String;
     fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config;
@@ -269,65 +270,51 @@ macro_rules! impl_serve_controller {
 }
 
 impl_serve_controller!(AlgorithmA<Dispatcher>);
-impl_serve_controller!(AlgorithmA<CachedDispatcher>);
 impl_serve_controller!(AlgorithmB<Dispatcher>);
-impl_serve_controller!(AlgorithmB<CachedDispatcher>);
 impl_serve_controller!(AlgorithmC<Dispatcher>);
-impl_serve_controller!(AlgorithmC<CachedDispatcher>);
 impl_serve_controller!(LazyCapacityProvisioning<Dispatcher>);
-impl_serve_controller!(LazyCapacityProvisioning<CachedDispatcher>);
 
 // The receding-horizon baseline pools per window internally and does
 // not expose pool injection; everything else forwards.
-macro_rules! impl_serve_controller_rhc {
-    ($ty:ty) => {
-        impl ServeController for $ty {
-            fn ctl_name(&self) -> String {
-                OnlineAlgorithm::name(self)
-            }
-            fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config {
-                OnlineAlgorithm::decide(self, instance, t)
-            }
-            fn ctl_tag(&self) -> &'static str {
-                Checkpoint::algo_tag(self)
-            }
-            fn ctl_save(&self, enc: &mut Encoder) {
-                Checkpoint::save_state(self, enc);
-            }
-            fn ctl_restore(
-                &mut self,
-                instance: &Instance,
-                dec: &mut Decoder<'_>,
-            ) -> Result<(), SnapshotError> {
-                Checkpoint::restore_state(self, instance, dec)
-            }
-            fn ctl_engine_stats(&self) -> Option<EngineStats> {
-                self.engine_stats()
-            }
-            fn ctl_share_pool(&mut self, _pool: SharedSlotPool) -> bool {
-                false
-            }
-        }
-    };
+impl ServeController for RecedingHorizon<Dispatcher> {
+    fn ctl_name(&self) -> String {
+        OnlineAlgorithm::name(self)
+    }
+    fn ctl_decide(&mut self, instance: &Instance, t: usize) -> Config {
+        OnlineAlgorithm::decide(self, instance, t)
+    }
+    fn ctl_tag(&self) -> &'static str {
+        Checkpoint::algo_tag(self)
+    }
+    fn ctl_save(&self, enc: &mut Encoder) {
+        Checkpoint::save_state(self, enc);
+    }
+    fn ctl_restore(
+        &mut self,
+        instance: &Instance,
+        dec: &mut Decoder<'_>,
+    ) -> Result<(), SnapshotError> {
+        Checkpoint::restore_state(self, instance, dec)
+    }
+    fn ctl_engine_stats(&self) -> Option<EngineStats> {
+        self.engine_stats()
+    }
+    fn ctl_share_pool(&mut self, _pool: SharedSlotPool) -> bool {
+        false
+    }
 }
-
-impl_serve_controller_rhc!(RecedingHorizon<Dispatcher>);
-impl_serve_controller_rhc!(RecedingHorizon<CachedDispatcher>);
 
 /// A fault-injection hook: behaves exactly like Algorithm B but panics
 /// on the decision for slot `at`. Only constructible when the daemon
 /// was started with fault hooks enabled — the serve chaos suite uses it
 /// to prove a per-tenant panic is caught at the step boundary and
 /// quarantines that tenant, never the daemon.
-struct PanicAt<O> {
+struct PanicAt {
     at: usize,
-    inner: AlgorithmB<O>,
+    inner: AlgorithmB<Dispatcher>,
 }
 
-impl<O: rsz_core::GtOracle + Sync + Send> ServeController for PanicAt<O>
-where
-    AlgorithmB<O>: ServeController,
-{
+impl ServeController for PanicAt {
     fn ctl_name(&self) -> String {
         format!("panic@{}({})", self.at, self.inner.ctl_name())
     }
@@ -408,54 +395,28 @@ pub fn build_controller(
 ) -> Result<BoxController, String> {
     let aopts = AOptions { grid, ..AOptions::default() };
     let param = algo_param(&spec.algo)?;
-    let boxed: Box<dyn ServeController> = match (base_algo(&spec.algo), spec.cache) {
-        ("a", false) => Box::new(AlgorithmA::new(instance, Dispatcher::new(), aopts)),
-        ("a", true) => Box::new(AlgorithmA::new(instance, CachedDispatcher::new(instance), aopts)),
-        ("b", false) => Box::new(AlgorithmB::new(instance, Dispatcher::new(), aopts)),
-        ("b", true) => Box::new(AlgorithmB::new(instance, CachedDispatcher::new(instance), aopts)),
-        ("c", cache) => {
+    let boxed: Box<dyn ServeController> = match base_algo(&spec.algo) {
+        "a" => Box::new(AlgorithmA::new(instance, Dispatcher::new(), aopts)),
+        "b" => Box::new(AlgorithmB::new(instance, Dispatcher::new(), aopts)),
+        "c" => {
             let copts =
                 COptions { epsilon: param.unwrap_or(0.5), base: aopts, ..COptions::default() };
-            if cache {
-                Box::new(AlgorithmC::new(instance, CachedDispatcher::new(instance), copts))
-            } else {
-                Box::new(AlgorithmC::new(instance, Dispatcher::new(), copts))
-            }
+            Box::new(AlgorithmC::new(instance, Dispatcher::new(), copts))
         }
-        ("lcp", false) => Box::new(LazyCapacityProvisioning::with_options(
+        "lcp" => Box::new(LazyCapacityProvisioning::with_options(
             instance,
             Dispatcher::new(),
             aopts.dp_options(),
         )),
-        ("lcp", true) => Box::new(LazyCapacityProvisioning::with_options(
-            instance,
-            CachedDispatcher::new(instance),
-            aopts.dp_options(),
-        )),
-        ("rhc", cache) => {
+        "rhc" => {
             let window = param.unwrap_or(4.0) as usize;
-            if cache {
-                Box::new(
-                    RecedingHorizon::new(CachedDispatcher::new(instance), window)
-                        .with_options(aopts.dp_options()),
-                )
-            } else {
-                Box::new(
-                    RecedingHorizon::new(Dispatcher::new(), window)
-                        .with_options(aopts.dp_options()),
-                )
-            }
+            Box::new(
+                RecedingHorizon::new(Dispatcher::new(), window).with_options(aopts.dp_options()),
+            )
         }
-        ("panic", cache) => {
+        "panic" => {
             let at = param.ok_or("panic:T needs a slot index")? as usize;
-            if cache {
-                Box::new(PanicAt {
-                    at,
-                    inner: AlgorithmB::new(instance, CachedDispatcher::new(instance), aopts),
-                })
-            } else {
-                Box::new(PanicAt { at, inner: AlgorithmB::new(instance, Dispatcher::new(), aopts) })
-            }
+            Box::new(PanicAt { at, inner: AlgorithmB::new(instance, Dispatcher::new(), aopts) })
         }
         _ => return Err(format!("unknown algorithm `{}`", spec.algo)),
     };
@@ -470,7 +431,6 @@ mod tests {
         TenantSpec {
             fleet: "cpu-gpu:3,1".into(),
             algo: algo.into(),
-            cache: false,
             grid: GridSpec::Full,
             deadline_us: None,
             snapshot_every: 0,
@@ -513,8 +473,7 @@ mod tests {
     #[test]
     fn pool_keys_separate_fleet_and_grid() {
         let a = spec("b");
-        let mut b = spec("a"); // different algo, same fleet+grid: same key
-        b.cache = true;
+        let b = spec("a"); // different algo, same fleet+grid: same key
         assert_eq!(a.pool_key(), b.pool_key());
         let mut c = spec("b");
         c.grid = GridSpec::Gamma(2.0);

@@ -302,7 +302,6 @@ mod tests {
         TenantSpec {
             fleet: "homogeneous:4".into(),
             algo: "b".into(),
-            cache: false,
             grid: GridSpec::Full,
             deadline_us: None,
             snapshot_every: 0,
@@ -417,30 +416,33 @@ mod tests {
     }
 
     #[test]
-    fn register_records_decode_with_either_pricing_path_byte() {
-        // Earlier daemons wrote a per-spec pricing-path byte (0 or 1)
-        // after the algorithm; both decode to the same spec, and
-        // today's records are byte-identical to the `1` form.
+    fn register_records_decode_with_either_pricing_path_or_cache_byte() {
+        // Earlier daemons wrote a per-spec pricing-path byte and a cache
+        // byte (each 0 or 1) after the algorithm; every combination
+        // decodes to the same spec, and today's records are
+        // byte-identical to the `(1, 0)` form.
         let s = spec();
-        let legacy = |byte: u8| {
+        let legacy = |path: u8, cache: u8| {
             let mut enc = Encoder::new();
             enc.put_u8(1); // Register tag
             enc.put_bytes(s.fleet.as_bytes());
             enc.put_bytes(s.algo.as_bytes());
-            enc.put_u8(byte);
-            enc.put_u8(0); // no cache
+            enc.put_u8(path);
+            enc.put_u8(cache);
             enc.put_u8(0); // full grid
             enc.put_u64(u64::MAX); // no deadline
             enc.put_usize(0); // snapshot cadence
             frame_payload(enc.payload())
         };
-        assert_eq!(frame(&WalRecord::Register(s.clone())), legacy(1));
-        for byte in [0, 1] {
-            let scanned = scan(&legacy(byte));
-            assert_eq!(scanned.tail, WalTail::Clean, "byte {byte}");
-            assert_eq!(scanned.records, vec![WalRecord::Register(s.clone())], "byte {byte}");
+        assert_eq!(frame(&WalRecord::Register(s.clone())), legacy(1, 0));
+        for (path, cache) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let scanned = scan(&legacy(path, cache));
+            let tag = format!("path {path} cache {cache}");
+            assert_eq!(scanned.tail, WalTail::Clean, "{tag}");
+            assert_eq!(scanned.records, vec![WalRecord::Register(s.clone())], "{tag}");
         }
-        assert!(matches!(scan(&legacy(2)).tail, WalTail::Corrupt { .. }));
+        assert!(matches!(scan(&legacy(2, 0)).tail, WalTail::Corrupt { .. }));
+        assert!(matches!(scan(&legacy(1, 2)).tail, WalTail::Corrupt { .. }));
     }
 
     #[test]

@@ -45,11 +45,11 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  rsz solve    --trace FILE --fleet PRESET --algorithm ALGO [--cache]
+  rsz solve    --trace FILE --fleet PRESET --algorithm ALGO
                [--refine] [--refine-gamma G] [--refine-epsilon E]
                [--repair POLICY] [--threads N] [--out FILE] [--chart]
   rsz simulate --trace FILE --fleet PRESET --algo {a|b|c[:EPS]|lcp|rhc[:W]}
-               [--cache] [--refine] [--repair POLICY]
+               [--refine] [--repair POLICY]
                [--resume FILE] [--snapshot-every K] [--out FILE]
                [--remote ADDR [--tenant NAME] [--peers A,B,...]]
   rsz serve    [--addr HOST:PORT] [--state-dir DIR] [--deadline-us N]
@@ -77,10 +77,6 @@ bit-identical to an uninterrupted run. --snapshot-every K (requires
 --resume) rewrites FILE after every K fresh decisions, so a killed
 process loses at most K slots of work. A corrupted, truncated, or
 mismatched snapshot exits with code 3 — it never resumes into garbage.
-
---cache memoizes the per-slot dispatch solves g(λ, x) across the run
-(shared across all slots when costs are time-independent) and reports
-the cache hit rate alongside the cost summary.
 
 solve prices g_t through the slot-batched pipeline (barrier-free
 slot-parallel pricing, warm-started KKT row sweeps, per-day slot reuse
@@ -219,37 +215,17 @@ fn solve(args: &[String]) -> ExitCode {
         return fail_solve(&e.to_string());
     }
 
-    if has_flag(args, "--cache") {
-        let oracle = CachedDispatcher::new(&instance);
-        let code = solve_with(&instance, oracle.clone(), &algo_spec, dp_opts, args);
-        let s = oracle.stats();
-        if s.hits + s.misses > 0 {
-            println!(
-                "g_t cache:       {} hits / {} misses ({:.1}% hit rate, {} entries{})",
-                s.hits,
-                s.misses,
-                100.0 * s.hit_rate(),
-                s.entries,
-                if oracle.slots_shared() { ", slots shared" } else { ", per-slot" }
-            );
-        }
-        code
-    } else {
-        solve_with(&instance, Dispatcher::new(), &algo_spec, dp_opts, args)
-    }
+    solve_with(&instance, &algo_spec, dp_opts, args)
 }
 
-/// Run the chosen algorithm and print the report; generic so the same
-/// path serves the plain and the memoizing dispatcher (whose clones all
-/// share one cache — the final pricing pass reuses the algorithm's own
-/// solves).
-fn solve_with<O: GtOracle + Sync + Clone>(
+/// Run the chosen algorithm and print the report.
+fn solve_with(
     instance: &Instance,
-    oracle: O,
     algo_spec: &str,
     dp_opts: DpOptions,
     args: &[String],
 ) -> ExitCode {
+    let oracle = Dispatcher::new();
     // Online algorithms run the same knobs through their prefix solver.
     let online_opts = heterogeneous_rightsizing::online::algo_a::AOptions {
         threads: dp_opts.threads,
@@ -276,14 +252,14 @@ fn solve_with<O: GtOracle + Sync + Clone>(
             }
         }
         None if algo_spec == "a" => {
-            let mut a = AlgorithmA::new(instance, oracle.clone(), online_opts);
+            let mut a = AlgorithmA::new(instance, oracle, online_opts);
             (
                 "Algorithm A (2d+1)-competitive".into(),
                 online::run(instance, &mut a, &oracle).schedule,
             )
         }
         None if algo_spec == "b" => {
-            let mut b = AlgorithmB::new(instance, oracle.clone(), online_opts);
+            let mut b = AlgorithmB::new(instance, oracle, online_opts);
             ("Algorithm B".into(), online::run(instance, &mut b, &oracle).schedule)
         }
         Some(("approx", eps)) => match eps.parse::<f64>() {
@@ -297,7 +273,7 @@ fn solve_with<O: GtOracle + Sync + Clone>(
             Ok(eps) if eps > 0.0 => {
                 let mut c = AlgorithmC::new(
                     instance,
-                    oracle.clone(),
+                    oracle,
                     COptions { epsilon: eps, base: online_opts, ..Default::default() },
                 );
                 (format!("Algorithm C(ε={eps})"), online::run(instance, &mut c, &oracle).schedule)
@@ -458,32 +434,15 @@ fn simulate(args: &[String]) -> ExitCode {
     if let Err(e) = offline::validate_for_solve(&instance, online_opts.dp_options()) {
         return fail_solve(&e.to_string());
     }
-    if has_flag(args, "--cache") {
-        let oracle = CachedDispatcher::new(&instance);
-        let code =
-            simulate_with(&instance, oracle.clone(), &algo_spec, online_opts, refine, &snap, args);
-        let s = oracle.stats();
-        if s.hits + s.misses > 0 {
-            println!(
-                "g_t cache:       {} hits / {} misses ({:.1}% hit rate)",
-                s.hits,
-                s.misses,
-                100.0 * s.hit_rate(),
-            );
-        }
-        code
-    } else {
-        simulate_with(&instance, Dispatcher::new(), &algo_spec, online_opts, refine, &snap, args)
-    }
+    simulate_with(&instance, &algo_spec, online_opts, refine, &snap, args)
 }
 
 /// Build the requested controller, drive it with the instrumented
 /// runner, and print the latency/cost report. Each arm returns the run,
 /// its latency profile, and the pricing pool's counters (`None` for an
 /// RHC run that never decided).
-fn simulate_with<O: GtOracle + Sync + Clone>(
+fn simulate_with(
     instance: &Instance,
-    oracle: O,
     algo_spec: &str,
     online_opts: heterogeneous_rightsizing::online::algo_a::AOptions,
     refine: Option<heterogeneous_rightsizing::offline::RefineOptions>,
@@ -491,6 +450,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
     args: &[String],
 ) -> ExitCode {
     type Stats = heterogeneous_rightsizing::offline::EngineStats;
+    let oracle = Dispatcher::new();
     let dp_opts = online_opts.dp_options();
     let (kind, param) = match algo_spec.split_once(':') {
         Some((k, p)) => (k, Some(p)),
@@ -499,7 +459,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
     let (run, profile, stats): (online::OnlineRun, online::LatencyProfile, Option<Stats>) =
         match (kind, param) {
             ("a", None) => {
-                let mut a = AlgorithmA::new(instance, oracle.clone(), online_opts);
+                let mut a = AlgorithmA::new(instance, oracle, online_opts);
                 let (run, profile) = match drive(instance, &mut a, &oracle, snap) {
                     Ok(rp) => rp,
                     Err(code) => return code,
@@ -507,7 +467,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                 (run, profile, Some(a.engine_stats()))
             }
             ("b", None) => {
-                let mut b = AlgorithmB::new(instance, oracle.clone(), online_opts);
+                let mut b = AlgorithmB::new(instance, oracle, online_opts);
                 let (run, profile) = match drive(instance, &mut b, &oracle, snap) {
                     Ok(rp) => rp,
                     Err(code) => return code,
@@ -522,7 +482,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                 };
                 let mut c = AlgorithmC::new(
                     instance,
-                    oracle.clone(),
+                    oracle,
                     COptions { epsilon: eps, base: online_opts, ..Default::default() },
                 );
                 let (run, profile) = match drive(instance, &mut c, &oracle, snap) {
@@ -535,8 +495,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                 if instance.num_types() != 1 {
                     return fail("lcp needs a homogeneous fleet (homogeneous:M)");
                 }
-                let mut l =
-                    LazyCapacityProvisioning::with_options(instance, oracle.clone(), dp_opts);
+                let mut l = LazyCapacityProvisioning::with_options(instance, oracle, dp_opts);
                 let (run, profile) = match drive(instance, &mut l, &oracle, snap) {
                     Ok(rp) => rp,
                     Err(code) => return code,
@@ -550,7 +509,7 @@ fn simulate_with<O: GtOracle + Sync + Clone>(
                     Some(_) => return fail("rhc:W needs a positive window"),
                 };
                 let dp_opts = heterogeneous_rightsizing::offline::DpOptions { refine, ..dp_opts };
-                let mut rhc = RecedingHorizon::new(oracle.clone(), window).with_options(dp_opts);
+                let mut rhc = RecedingHorizon::new(oracle, window).with_options(dp_opts);
                 let (run, profile) = match drive(instance, &mut rhc, &oracle, snap) {
                     Ok(rp) => rp,
                     Err(code) => return code,
@@ -729,7 +688,6 @@ fn simulate_remote(addr: &str, args: &[String]) -> ExitCode {
     let spec = TenantSpec {
         fleet: fleet_spec,
         algo,
-        cache: has_flag(args, "--cache"),
         grid: GridSpec::Full,
         deadline_us,
         snapshot_every: 0,

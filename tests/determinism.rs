@@ -42,27 +42,19 @@ fn offline_solver_is_deterministic() {
 }
 
 #[test]
-fn schedules_identical_across_parallelism_and_caching() {
+fn schedules_identical_across_parallelism() {
     // The recovered *schedule* — not just the cost — must be invariant
-    // under the fill strategy (sequential vs parallel) and under the g_t
-    // memoization layer, on a non-trivial dispatch workload (power costs
-    // force the KKT path). Backtracking breaks value ties with a relative
-    // epsilon precisely so last-bit wobbles cannot flip this.
+    // under the fill strategy (sequential vs parallel), bit for bit, on a
+    // non-trivial dispatch workload (power costs force the KKT path).
+    // Backtracking breaks value ties with a relative epsilon precisely so
+    // last-bit wobbles cannot flip this.
     let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
     let plain = Dispatcher::new();
     let reference = solve(&inst, &plain, DpOptions { parallel: false, ..Default::default() });
     for parallel in [false, true] {
-        let opts = DpOptions { parallel, ..Default::default() };
-        let uncached = solve(&inst, &plain, opts);
-        assert_eq!(reference.schedule, uncached.schedule, "parallel={parallel} uncached");
-        assert_eq!(reference.cost.to_bits(), uncached.cost.to_bits());
-        let cache = CachedDispatcher::new(&inst);
-        let cached = solve(&inst, &cache, opts);
-        assert_eq!(reference.schedule, cached.schedule, "parallel={parallel} cached");
-        assert_eq!(reference.cost.to_bits(), cached.cost.to_bits());
-        // A second solve over the now-warm cache stays identical too.
-        let warm = solve(&inst, &cache, opts);
-        assert_eq!(reference.schedule, warm.schedule, "parallel={parallel} warm cache");
+        let got = solve(&inst, &plain, DpOptions { parallel, ..Default::default() });
+        assert_eq!(reference.schedule, got.schedule, "parallel={parallel}");
+        assert_eq!(reference.cost.to_bits(), got.cost.to_bits(), "parallel={parallel}");
     }
 }
 
@@ -71,79 +63,38 @@ fn scalar_and_simd_kernels_are_bit_identical_across_the_mode_matrix() {
     // The kernel-layer contract: forcing every kernel (and the transform
     // / band-slice layout paths) onto the scalar reference twins must
     // reproduce the lanes solve **bit for bit** — same schedule, same
-    // cost bits — across the full mode matrix {parallel} × {cache} ×
-    // {refine}. This is what lets the SIMD refactor ship without a
-    // tolerance bump anywhere.
+    // cost bits — across the full mode matrix {parallel} × {refine}.
+    // This is what lets the SIMD refactor ship without a tolerance bump
+    // anywhere.
     use heterogeneous_rightsizing::offline::kernels::force_scalar;
     use heterogeneous_rightsizing::offline::refine::RefineOptions;
     let inst = scenario::diurnal_cpu_gpu(5, 2, 2, 12, 21);
     let plain = Dispatcher::new();
     for parallel in [false, true] {
         for refine in [false, true] {
-            for cached in [false, true] {
-                let opts = DpOptions {
-                    parallel,
-                    refine: refine.then(RefineOptions::exact),
-                    ..Default::default()
-                };
-                let run_mode = |scalar: bool| {
-                    force_scalar(scalar);
-                    let res = if cached {
-                        let cache = CachedDispatcher::new(&inst);
-                        solve(&inst, &cache, opts)
-                    } else {
-                        solve(&inst, &plain, opts)
-                    };
-                    force_scalar(false);
-                    res
-                };
-                let lanes = run_mode(false);
-                let scalar = run_mode(true);
-                let tag = format!("parallel={parallel} refine={refine} cached={cached}");
-                assert_eq!(lanes.schedule, scalar.schedule, "schedule: {tag}");
-                assert_eq!(
-                    lanes.cost.to_bits(),
-                    scalar.cost.to_bits(),
-                    "cost bits: {tag} ({} vs {})",
-                    lanes.cost,
-                    scalar.cost
-                );
-            }
+            let opts = DpOptions {
+                parallel,
+                refine: refine.then(RefineOptions::exact),
+                ..Default::default()
+            };
+            let run_mode = |scalar: bool| {
+                force_scalar(scalar);
+                let res = solve(&inst, &plain, opts);
+                force_scalar(false);
+                res
+            };
+            let lanes = run_mode(false);
+            let scalar = run_mode(true);
+            let tag = format!("parallel={parallel} refine={refine}");
+            assert_eq!(lanes.schedule, scalar.schedule, "schedule: {tag}");
+            assert_eq!(
+                lanes.cost.to_bits(),
+                scalar.cost.to_bits(),
+                "cost bits: {tag} ({} vs {})",
+                lanes.cost,
+                scalar.cost
+            );
         }
-    }
-}
-
-#[test]
-fn online_schedules_identical_across_caching() {
-    // {cache on/off} must commit the SAME schedule for Algorithms A
-    // (time-independent) and B (time-dependent electricity prices):
-    // the memoizing oracle feeds the same pooled pricing.
-    let td = scenario::electricity_market(5, 24, 12, 13);
-    let ti = scenario::diurnal_cpu_gpu(4, 2, 1, 12, 3);
-    let plain = Dispatcher::new();
-    let ref_a = {
-        let mut a = AlgorithmA::new(&ti, plain, AOptions::default());
-        run(&ti, &mut a, &plain)
-    };
-    let ref_b = {
-        let mut b = AlgorithmB::new(&td, plain, AOptions::default());
-        run(&td, &mut b, &plain)
-    };
-    for cached in [false, true] {
-        let opts = AOptions::default();
-        let (got_a, got_b) = if cached {
-            let ca = CachedDispatcher::new(&ti);
-            let cb = CachedDispatcher::new(&td);
-            let mut a = AlgorithmA::new(&ti, ca.clone(), opts);
-            let mut b = AlgorithmB::new(&td, cb.clone(), opts);
-            (run(&ti, &mut a, &ca), run(&td, &mut b, &cb))
-        } else {
-            let mut a = AlgorithmA::new(&ti, plain, opts);
-            let mut b = AlgorithmB::new(&td, plain, opts);
-            (run(&ti, &mut a, &plain), run(&td, &mut b, &plain))
-        };
-        assert_eq!(ref_a.schedule, got_a.schedule, "A cached={cached}");
-        assert_eq!(ref_b.schedule, got_b.schedule, "B cached={cached}");
     }
 }
 

@@ -421,7 +421,6 @@ fn tcp_client_fails_over_transparently() {
     let spec = heterogeneous_rightsizing::serve::TenantSpec {
         fleet: c.fleet.to_owned(),
         algo: c.algo.to_owned(),
-        cache: false,
         grid: heterogeneous_rightsizing::serve::GridSpec::Full,
         deadline_us: None,
         snapshot_every: 3,

@@ -69,18 +69,17 @@ struct Combo {
     tag: &'static str,
     fleet: &'static str,
     algo: &'static str,
-    cache: bool,
     grid: &'static str,
 }
 
-/// {cache} × {full, γ} across the shipping controllers.
+/// {full, γ} across the shipping controllers.
 fn combos() -> Vec<Combo> {
     let all = vec![
-        Combo { tag: "b", fleet: "cpu-gpu:2,1", algo: "b", cache: false, grid: "full" },
-        Combo { tag: "b-gamma", fleet: "cpu-gpu:2,1", algo: "b", cache: true, grid: "gamma:2" },
-        Combo { tag: "a", fleet: "old-new:2,2", algo: "a", cache: false, grid: "full" },
-        Combo { tag: "lcp", fleet: "homogeneous:4", algo: "lcp", cache: true, grid: "full" },
-        Combo { tag: "rhc", fleet: "cpu-gpu:2,1", algo: "rhc:3", cache: false, grid: "full" },
+        Combo { tag: "b", fleet: "cpu-gpu:2,1", algo: "b", grid: "full" },
+        Combo { tag: "b-gamma", fleet: "cpu-gpu:2,1", algo: "b", grid: "gamma:2" },
+        Combo { tag: "a", fleet: "old-new:2,2", algo: "a", grid: "full" },
+        Combo { tag: "lcp", fleet: "homogeneous:4", algo: "lcp", grid: "full" },
+        Combo { tag: "rhc", fleet: "cpu-gpu:2,1", algo: "rhc:3", grid: "full" },
     ];
     if quick() {
         all.into_iter().take(2).collect()
@@ -91,8 +90,8 @@ fn combos() -> Vec<Combo> {
 
 fn register_line(tenant: &str, c: &Combo, snapshot_every: usize) -> String {
     format!(
-        r#"{{"op":"register","tenant":"{tenant}","fleet":"{}","algo":"{}","cache":{},"grid":"{}","snapshot_every":{snapshot_every}}}"#,
-        c.fleet, c.algo, c.cache, c.grid
+        r#"{{"op":"register","tenant":"{tenant}","fleet":"{}","algo":"{}","grid":"{}","snapshot_every":{snapshot_every}}}"#,
+        c.fleet, c.algo, c.grid
     )
 }
 
@@ -366,7 +365,6 @@ fn dropped_connections_and_partial_writes_never_kill_the_daemon() {
     let spec = heterogeneous_rightsizing::serve::TenantSpec {
         fleet: c.fleet.to_owned(),
         algo: c.algo.to_owned(),
-        cache: c.cache,
         grid: heterogeneous_rightsizing::serve::GridSpec::parse(c.grid).unwrap(),
         deadline_us: None,
         snapshot_every: 0,
@@ -468,8 +466,7 @@ fn deadline_none_is_bit_transparent_through_the_serve_path() {
     let mut local = AlgorithmB::new(&instance, Dispatcher::new(), AOptions::default());
     let reference = run(&instance, &mut local, &oracle);
 
-    let c =
-        Combo { tag: "transparent", fleet: "cpu-gpu:2,1", algo: "b", cache: false, grid: "full" };
+    let c = Combo { tag: "transparent", fleet: "cpu-gpu:2,1", algo: "b", grid: "full" };
     let dir = tmp_dir("transparent");
     let daemon = Daemon::new(options(&dir)).unwrap();
     assert_ok(&daemon.handle(&register_line("t", &c, 4)));

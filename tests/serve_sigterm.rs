@@ -35,7 +35,6 @@ fn sigterm_drains_the_server_and_seals_a_final_snapshot() {
     let spec = TenantSpec {
         fleet: "cpu-gpu:2,1".into(),
         algo: "b".into(),
-        cache: false,
         grid: GridSpec::Full,
         deadline_us: None,
         snapshot_every: 0,
